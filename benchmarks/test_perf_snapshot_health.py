@@ -7,9 +7,9 @@ and the health payload.
 
 The acceptance bar is the *marginal* cost of the health layer: the
 health-on run vs the otherwise-identical health-off run (same scrape
-loop, same span collector).  The ledger hooks are None-guarded
-attribute reads on the hot path, so turning them on must be nearly
-free.  The bare figure is recorded for context (the observability
+loop, same span collector).  The ledger is plain ``Counters`` fields
+the protocol keeps either way, read after the run, so turning it on
+must be nearly free.  The bare figure is recorded for context (the observability
 base tax is PR 2/PR 7 territory, gated elsewhere).
 
 Gates:

@@ -24,12 +24,11 @@ __all__ = [
 ]
 
 #: modules that may read the host clock: harness progress output, the
-#: wall half of the dual profiler, the performance observatory (wall
-#: attribution, stack sampling, tracemalloc/gc accounting), executor
-#: job timeouts, bench envelope + trajectory
+#: performance observatory (the engine profiler's wall attribution,
+#: stack sampling, tracemalloc/gc accounting), executor job timeouts,
+#: bench envelope + trajectory
 WALLCLOCK_ALLOWED = (
     "repro.harness",
-    "repro.obs.profiler",
     "repro.obs.perf",
     "repro.fleet.executor",
     "repro.stats.bench",

@@ -10,9 +10,10 @@ receiver's RTT estimate.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from repro.core.seq import seq_geq, seq_leq, seq_lt, seq_max, seq_min, seq_sub
+from repro.core.seq import (seq_geq, seq_gt, seq_leq, seq_lt, seq_max,
+                            seq_min, seq_sub)
 
 __all__ = ["NakRange", "NakList"]
 
@@ -44,9 +45,6 @@ class NakList:
 
     def __init__(self):
         self._ranges: list[NakRange] = []
-        # optional protocol-health probe (repro.obs.health); None in
-        # ordinary runs -- every hook site is a single attribute test
-        self.health = None
 
     def __len__(self) -> int:
         return len(self._ranges)
@@ -88,15 +86,14 @@ class NakList:
         base = merged[0].start if merged else 0
         merged.sort(key=lambda r: seq_sub(r.start, base))
         self._ranges = merged
-        if new and self.health is not None:
-            self.health.on_gaps_opened(new)
         return new
 
-    def fill(self, start: int, end: int) -> None:
-        """Data [start, end) arrived; shrink/split/remove covered ranges."""
+    def fill(self, start: int, end: int) -> list[NakRange]:
+        """Data [start, end) arrived; shrink/split/remove covered ranges.
+        Returns the ranges removed outright."""
+        removed: list[NakRange] = []
         if seq_geq(start, end):
-            return
-        h = self.health
+            return removed
         out: list[NakRange] = []
         for rng in self._ranges:
             if seq_leq(end, rng.start) or seq_geq(start, rng.end):
@@ -117,23 +114,33 @@ class NakList:
                 right.tries = rng.tries
                 out.append(right)
                 covered = False
-            if covered and h is not None:
-                h.on_gap_removed(rng)
+            if covered:
+                removed.append(rng)
         self._ranges = out
+        return removed
 
-    def fill_below(self, seq: int) -> None:
-        """Everything below ``seq`` is now in order."""
-        h = self.health
-        out = []
-        for rng in self._ranges:
-            if seq_leq(rng.end, seq):
-                if h is not None:
-                    h.on_gap_removed(rng)
-                continue
-            if seq_lt(rng.start, seq):
-                rng.start = seq
-            out.append(rng)
-        self._ranges = out
+    def fill_below(self, seq: int) -> Sequence[NakRange]:
+        """Everything below ``seq`` is now in order.  Returns the ranges
+        removed outright.
+
+        The in-order data path calls this per segment, almost always
+        with nothing below ``seq``; that case returns a constant and
+        allocates nothing.  The ranges are ordered, so the removed ones
+        are a prefix and at most the next one is trimmed.
+        """
+        ranges = self._ranges
+        if not ranges or seq_leq(seq, ranges[0].start):
+            return ()
+        done = 0
+        for rng in ranges:
+            if seq_gt(rng.end, seq):
+                if seq_lt(rng.start, seq):
+                    rng.start = seq
+                break
+            done += 1
+        removed = ranges[:done]
+        del ranges[:done]
+        return removed
 
     #: re-NAK interval growth per unanswered try, and its cap
     BACKOFF = 2.0
@@ -158,6 +165,11 @@ class NakList:
     def mark_sent(self, rng: NakRange, now_us: int) -> None:
         rng.last_sent_us = now_us
         rng.tries += 1
+
+    def overlapping(self, start: int, end: int) -> int:
+        """How many pending ranges overlap [start, end)."""
+        return sum(1 for r in self._ranges
+                   if seq_lt(r.start, end) and seq_gt(r.end, start))
 
     def first(self) -> Optional[NakRange]:
         return self._ranges[0] if self._ranges else None

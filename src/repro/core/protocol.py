@@ -38,10 +38,6 @@ class HRMCTransport(Transport):
         self.stats = Counters()
         self.sender: Optional[HRMCSender] = None
         self.receiver: Optional[HRMCReceiver] = None
-        # optional protocol-health monitor (repro.obs.health): set by
-        # Observability.attach before the sim runs; forwarded to the
-        # lazily created role at connect/join time
-        self.health = None
         self._bound_port: Optional[int] = None
         self._group: Optional[str] = None
         self._backlog: list[tuple[SKBuff, str]] = []
@@ -66,8 +62,6 @@ class HRMCTransport(Transport):
         self.sock.dport = dport
         self.sock.tp_pinfo = self.sender = HRMCSender(
             self.host, self.sock, self.cfg, self.stats)
-        if self.health is not None:
-            self.health.bind_sender(self.sender)
         self.sender.start()
 
     def join(self, group: str, port: int) -> None:
@@ -82,8 +76,6 @@ class HRMCTransport(Transport):
         self.sock.dport = port
         self.sock.tp_pinfo = self.receiver = HRMCReceiver(
             self.host, self.sock, self.cfg, self.stats)
-        if self.health is not None:
-            self.health.bind_receiver(self.receiver)
         self.receiver.start()
 
     # -- host dispatch --------------------------------------------------

@@ -90,9 +90,9 @@ class HRMCReceiver:
         self._repairs_seen: dict[int, int] = {}   # seq -> time observed
         self._lr_rng = substream(0, f"local-recovery:{host.addr}")
 
-        # optional protocol-health probe (repro.obs.health), installed
-        # by HealthMonitor.bind_receiver; None in ordinary runs
-        self.health = None
+        #: gap-open -> gap-filled latency of every recovered NAK range,
+        #: in fill order (gaps a NAK_ERR wiped are not recoveries)
+        self.recovery_lags_us: list[int] = []
 
         self.leave_acked = False
         self.failed = False             # sender declared dead
@@ -186,20 +186,17 @@ class HRMCReceiver:
         peer_repair = (self.cfg.local_recovery and src and
                        self.sender_addr is not None and
                        src != self.sender_addr)
-        h = self.health
         if peer_repair:
             # remember the repair so our own pending repair for the same
             # data is suppressed
             self._repairs_seen[seq] = self.sim.now
-            if h is not None:
-                # pending NAKs this repair resolves were suppressed by
-                # the peer, not by our own re-NAK reaching the sender
-                h.on_peer_repair(self.naks, seq, end)
+            # pending NAKs this repair resolves were suppressed by the
+            # peer, not by our own re-NAK reaching the sender
+            self.stats.naks_suppressed_peer += self.naks.overlapping(seq,
+                                                                     end)
 
         if seq_leq(end, self.rcv_nxt):
-            self.stats.dup_pkts_rcvd += 1
-            if h is not None:
-                h.on_duplicate_data(skb, peer_repair)
+            self._count_duplicate(skb, peer_repair)
             self._flow_control(skb)
             return
         if peer_repair:
@@ -215,20 +212,33 @@ class HRMCReceiver:
             self.stats.out_of_order_pkts += 1
             if seq not in self._ooo:
                 self._ooo[seq] = skb
-                if h is not None and (skb.tries > 1 or peer_repair):
-                    h.on_repair_useful(skb)
+                if skb.tries > 1 or peer_repair:
+                    self.stats.repairs_useful += 1
                 self._note_gap(self.rcv_nxt, seq)
             else:
-                self.stats.dup_pkts_rcvd += 1
-                if h is not None:
-                    h.on_duplicate_data(skb, peer_repair)
+                self._count_duplicate(skb, peer_repair)
         else:
-            if h is not None and (skb.tries > 1 or peer_repair):
-                h.on_repair_useful(skb)
+            if skb.tries > 1 or peer_repair:
+                self.stats.repairs_useful += 1
             self._integrate(skb)
             self._drain_ooo()
         self._flow_control(skb)
         self._try_fec_repairs()
+
+    def _count_duplicate(self, skb: SKBuff, peer_repair) -> None:
+        stats = self.stats
+        stats.dup_pkts_rcvd += 1
+        if skb.tries > 1 or peer_repair:
+            # a repair (retransmission or peer's) for data we already had
+            stats.repairs_redundant += 1
+            stats.repair_redundant_bytes += skb.length
+
+    def _recovered(self, ranges) -> None:
+        """NAK ranges that data just filled outright: record each
+        gap-open -> gap-filled lag."""
+        now = self.sim.now
+        self.stats.gaps_filled += len(ranges)
+        self.recovery_lags_us.extend(now - r.created_us for r in ranges)
 
     def _integrate(self, skb: SKBuff) -> None:
         """Deliver an skb that starts at or before rcv_nxt."""
@@ -236,7 +246,9 @@ class HRMCReceiver:
         if skb.flags & FIN:
             self.eof_seq = skb.seq
             self.rcv_nxt = end  # consume the phantom byte
-            self.naks.fill_below(self.rcv_nxt)
+            filled = self.naks.fill_below(end)
+            if filled:
+                self._recovered(filled)
             self.sock.data_ready.fire()
             return
         trim = seq_sub(self.rcv_nxt, seq)
@@ -250,28 +262,27 @@ class HRMCReceiver:
         if self.cfg.local_recovery and payload is not None:
             self._cache_for_repair(out.seq, length, payload)
         self.rcv_nxt = end
-        self.naks.fill_below(self.rcv_nxt)
+        filled = self.naks.fill_below(end)
+        if filled:
+            self._recovered(filled)
         self.sock.data_ready.fire()
 
     def _cache_for_repair(self, seq: int, length: int,
                           payload: Payload) -> None:
         """Retain delivered data so we can serve peer repair requests."""
-        h = self.health
+        stats = self.stats
         if seq in self._repair_cache:
-            if h is not None:
-                h.on_cache_overwrite()
+            stats.repair_cache_overwrites += 1
             return
         entry = SKBuff(sport=self.sock.num, dport=self.sock.num, seq=seq,
                        ptype=PacketType.DATA, length=length, payload=payload)
         self._repair_cache[seq] = entry
         self._repair_cache_bytes += length
-        if h is not None:
-            h.on_cache_insert()
+        stats.repair_cache_inserts += 1
         while self._repair_cache_bytes > self.cfg.repair_cache_bytes:
             _, old = self._repair_cache.popitem(last=False)
             self._repair_cache_bytes -= old.length
-            if h is not None:
-                h.on_cache_evict()
+            stats.repair_cache_evictions += 1
 
     def _drain_ooo(self) -> None:
         while True:
@@ -299,11 +310,18 @@ class HRMCReceiver:
             # gap; NAK transmissions chain under this node
             lineage.emit("gap", self.host.addr, "detected",
                          seq=start, end=end)
-        fresh = self.naks.add_gap(start, end, now)
-        for rng in fresh:
-            self._send_nak(rng, now)
+        self._open_gaps(start, end, now)
         if self.naks and not self.nak_timer.pending:
             self.nak_timer.mod_after(self._nak_period_us())
+
+    def _open_gaps(self, start: int, end: int, now: int) -> None:
+        """Track missing [start, end) and NAK the newly seen ranges."""
+        fresh = self.naks.add_gap(start, end, now)
+        if fresh:
+            self.stats.gaps_opened += len(fresh)
+            self.stats.gap_bytes += sum(r.length for r in fresh)
+            for rng in fresh:
+                self._send_nak(rng, now)
 
     # -- NAK manager --------------------------------------------------
 
@@ -318,11 +336,9 @@ class HRMCReceiver:
             return
         now = self.sim.now
         due = self.naks.due(now, self._suppress_us())
-        h = self.health
-        if h is not None:
-            # pending ranges not due are re-NAK opportunities withheld
-            # by the local suppression timer
-            h.on_nak_tick(len(self.naks), len(due))
+        # pending ranges not due are re-NAK opportunities withheld by
+        # the local suppression timer
+        self.stats.naks_suppressed_timer += len(self.naks) - len(due)
         for rng in due:
             self._send_nak(rng, now)
         if self.naks:
@@ -350,8 +366,8 @@ class HRMCReceiver:
             self.host.ip_send(skb, self.sender_addr)
         self.naks.mark_sent(rng, now)
         self.stats.naks_sent += 1
-        if self.health is not None:
-            self.health.on_nak_sent(rng)
+        if rng.tries > 1:   # mark_sent already ran: tries==1 is a first send
+            self.stats.naks_resent += 1
         self._feedback_since_update = True
 
     # -- peer repair (local recovery, future-work extension 3) ----------
@@ -366,13 +382,10 @@ class HRMCReceiver:
             return  # we don't have all of it either
         chunks = [e for s, e in self._repair_cache.items()
                   if seq_lt(s, end) and seq_gt(e.end_seq, start)]
-        h = self.health
         if not chunks:
-            if h is not None:
-                h.on_cache_miss()
+            self.stats.repair_cache_misses += 1
             return
-        if h is not None:
-            h.on_cache_hit(len(chunks[:8]))
+        self.stats.repair_cache_hits += min(len(chunks), 8)
         delay = int(self._lr_rng.uniform(0.1, 1.0) * max(self.rtt.rtt_us,
                                                          2_000))
         self.sim.call_after(delay, self._emit_repairs, chunks[:8])
@@ -382,12 +395,10 @@ class HRMCReceiver:
             return
         now = self.sim.now
         horizon = 2 * max(self.rtt.rtt_us, 2_000)
-        h = self.health
         for entry in chunks:
             seen = self._repairs_seen.get(entry.seq)
             if seen is not None and now - seen < horizon:
-                if h is not None:
-                    h.on_repair_suppressed()
+                self.stats.local_repairs_suppressed += 1
                 continue  # someone else already repaired it
             repair = SKBuff(sport=self.sock.num, dport=self.sock.num,
                             seq=entry.seq, ptype=PacketType.DATA,
@@ -463,9 +474,7 @@ class HRMCReceiver:
         else:
             # generate (or refresh) the NAK for the needed data, now
             now = self.sim.now
-            fresh = self.naks.add_gap(self.rcv_nxt, skb.seq, now)
-            for rng in fresh:
-                self._send_nak(rng, now)
+            self._open_gaps(self.rcv_nxt, skb.seq, now)
             # refresh existing NAKs for the probed span, under suppression
             for rng in self.naks.due(now, self._suppress_us()):
                 if seq_lt(rng.start, skb.seq):
@@ -514,13 +523,8 @@ class HRMCReceiver:
             self.rcv_nxt = lost_to
             # unread data resumes after the hole; window origin moves too
             self.rcv_wnd = seq_max(self.rcv_wnd, lost_to)
-            h = self.health
-            if h is not None:
-                # gaps wiped by a NAK_ERR were abandoned, not recovered
-                h.abandoning = True
-            self.naks.fill_below(lost_to)
-            if h is not None:
-                h.abandoning = False
+            # gaps wiped by a NAK_ERR were abandoned, not recovered
+            self.stats.gaps_abandoned += len(self.naks.fill_below(lost_to))
             self._drain_ooo()
             self.sock.data_ready.fire()
 
@@ -550,7 +554,9 @@ class HRMCReceiver:
                     payload=PatternPayload(seq_sub(start, self.cfg.iss),
                                            length))
                 self.stats.fec_repairs += 1
-                self.naks.fill(start, end)
+                filled = self.naks.fill(start, end)
+                if filled:
+                    self._recovered(filled)
                 if seq_leq(synth.seq, self.rcv_nxt):
                     self._integrate(synth)
                     self._drain_ooo()

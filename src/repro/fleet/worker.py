@@ -27,6 +27,16 @@ class JobTimeout(Exception):
     """A job exceeded its per-run wall-clock budget."""
 
 
+class _AlarmExpired(BaseException):
+    """Raised by the SIGALRM handler inside a running job.
+
+    A ``BaseException`` so that no ``except Exception`` on the way out
+    can swallow it -- in particular the simulator's process trampoline,
+    which records ordinary exceptions as process errors and lets the
+    run go on.  :func:`execute_spec` turns it into :class:`JobTimeout`.
+    """
+
+
 def _build_scenario(spec: RunSpec) -> Any:
     from repro.workloads.groups import GROUP_A, GROUP_B, GROUP_C, \
         expand_test_case
@@ -111,20 +121,25 @@ def execute_spec(spec_dict: dict,
     spec = RunSpec.from_dict(spec_dict)
     use_alarm = (timeout_s is not None and hasattr(signal, "SIGALRM"))
     old_handler: Union[None, int, object] = None
-    if use_alarm:
-        def _expired(signum: int, frame: Optional[FrameType]) -> None:
-            raise JobTimeout(f"job exceeded {timeout_s:g}s wall clock: "
-                             f"{spec.describe()}")
-        try:
-            old_handler = signal.signal(signal.SIGALRM, _expired)
-            signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
-        except ValueError:          # not the main thread
-            use_alarm = False
+
+    def _expired(signum: int, frame: Optional[FrameType]) -> None:
+        raise _AlarmExpired()
+
     try:
-        summary = run_spec(spec)
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, old_handler)
+        try:
+            if use_alarm:
+                try:
+                    old_handler = signal.signal(signal.SIGALRM, _expired)
+                    signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
+                except ValueError:          # not the main thread
+                    use_alarm = False
+            summary = run_spec(spec)
+        finally:
+            if use_alarm:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                signal.signal(signal.SIGALRM, old_handler)
+    except _AlarmExpired:
+        raise JobTimeout(f"job exceeded {timeout_s:g}s wall clock: "
+                         f"{spec.describe()}") from None
     # one canonical representation for every execution path
     return json.loads(json.dumps(summary.to_dict(), sort_keys=True))

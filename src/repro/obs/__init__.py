@@ -6,8 +6,9 @@
   bucket histograms and time series, sampled on simulated time,
 * :mod:`repro.obs.spans` -- packet-lifecycle latency histograms and
   protocol-phase spans stitched from the packet tap,
-* :mod:`repro.obs.profiler` -- simulated-time and wall-clock
-  attribution per engine callback site,
+* :mod:`repro.obs.perf` -- the engine profiler (simulated-time and
+  wall-clock attribution per callback site and event class) and the
+  performance observatory built on it,
 * :mod:`repro.obs.causal` -- the per-run causal lineage DAG (who
   caused what, from fault action to repaired byte),
 * :mod:`repro.obs.diag` -- root-cause queries over the DAG
@@ -33,7 +34,7 @@ from repro.obs.html import render_report, sparkline_svg, write_report
 from repro.obs.metrics import (LATENCY_BOUNDS_US, Counter, Histogram,
                                MetricsRegistry, TimeSeries)
 from repro.obs.observer import Observability
-from repro.obs.profiler import SimProfiler, SiteStats, site_of
+from repro.obs.perf.profiler import PerfProfiler, SiteStats, site_of
 from repro.obs.spans import Span, SpanCollector
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
     "MetricsRegistry", "Counter", "Histogram", "TimeSeries",
     "LATENCY_BOUNDS_US",
     "Span", "SpanCollector",
-    "SimProfiler", "SiteStats", "site_of",
+    "PerfProfiler", "SiteStats", "site_of",
     "CauseNode", "LineageRecorder", "load_lineage", "walk_chain",
     "Diagnoser", "Watchdog", "WhyReport", "StallReport", "format_chain",
     "DiffResult", "RunArtifacts", "diff_runs", "load_run",

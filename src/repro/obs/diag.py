@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.obs.causal import CauseNode, LineageRecorder
-from repro.obs.profiler import site_of
+from repro.obs.perf.profiler import site_of
 
 __all__ = ["Diagnoser", "Watchdog", "WhyReport", "StallReport",
            "format_chain"]

@@ -1,12 +1,12 @@
 """Protocol-health observatory (``repro.obs.health``).
 
-First-class protocol-semantic measurements over an H-RMC run, riding
-the same zero-perturbation hook pattern as causal lineage
-(``sim.lineage``) and the sender's ``release_hook``: every instrumented
-site reads its ``health`` attribute once and skips in a single ``is
-None`` test when health accounting is off, so a health-on run produces
-a byte-identical packet trace (the regression test in ``tests/obs``
-holds this line).
+First-class protocol-semantic measurements over an H-RMC run.  The
+core keeps every count as a plain :class:`~repro.stats.metrics.Counters`
+field, incremented where the event happens (like ``naks_sent``), and
+each receiver records the lag of every NAK range it recovers;
+:class:`HealthMonitor` is a read-only view over the H-RMC endpoints of
+one run.  Nothing is installed into the protocol, so a health-on run is
+trivially byte-identical to a health-off one.
 
 Four measurement families, chosen so the paper's evaluation quantities
 (Fig. 11 feedback traffic, Fig. 14 group-size sweep, the section 5.2
@@ -29,22 +29,17 @@ directly comparable across runs:
 * **Recovery lag** -- per-receiver gap-open -> gap-fill latency
   (histogram + per-host aggregates), the worst receiver, and
   abandoned (NAK_ERR) / unresolved gaps.
-
-Wiring: the harness sets ``transport.health`` on the H-RMC endpoints
-before the simulation runs; the transport forwards the monitor to the
-lazily created sender/receiver roles (``bind_sender`` /
-``bind_receiver``), which install per-role probes on the role, its
-``NakList`` and its ``UpdatePolicy``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.seq import seq_gt, seq_lt
-from repro.obs.metrics import Counter, Histogram
+from repro.core.protocol import HRMCTransport
+from repro.obs.metrics import Histogram
+from repro.stats.metrics import Counters
 
-__all__ = ["HealthMonitor", "ReceiverHealthProbe"]
+__all__ = ["HealthMonitor"]
 
 #: recovery-lag bucket edges (us): gap detected -> gap filled spans a
 #: couple of RTTs on a healthy path and whole back-off cycles on a sick
@@ -52,193 +47,106 @@ __all__ = ["HealthMonitor", "ReceiverHealthProbe"]
 LAG_BOUNDS_US = (1_000, 5_000, 10_000, 25_000, 50_000, 100_000,
                  250_000, 500_000, 1_000_000, 2_000_000, 5_000_000)
 
-#: every ledger cell the monitor keeps, in fixed registration order so
-#: exports stay deterministic
-_COUNTER_KEYS = (
-    "gap_opened", "gap_bytes", "gap_filled", "gap_abandoned",
-    "nak_sent", "nak_resent", "nak_suppressed_timer",
-    "nak_suppressed_peer",
-    "dup_data", "repair_useful", "repair_redundant",
-    "repair_redundant_bytes",
-    "cache_insert", "cache_evict", "cache_overwrite", "cache_hit",
-    "cache_miss", "repair_suppressed",
-    "sender_naks_rcvd", "sender_nak_errs", "sender_loss_events",
-    "repair_deflected",
-    "update_up", "update_down",
-)
-
-
-class ReceiverHealthProbe:
-    """Per-receiver hook target, shared by the receiver role, its
-    ``NakList`` and its ``UpdatePolicy``.  Holds the host address and a
-    sim reference so gap-fill instants can be timestamped from inside
-    ``NakList`` (which itself has no clock)."""
-
-    __slots__ = ("mon", "addr", "sim", "abandoning")
-
-    def __init__(self, mon: "HealthMonitor", addr: str, sim):
-        self.mon = mon
-        self.addr = addr
-        self.sim = sim
-        #: set by the receiver around the NAK_ERR ``fill_below`` so the
-        #: removed ranges count as abandoned, not recovered
-        self.abandoning = False
-
-    # -- NakList hooks --------------------------------------------------
-
-    def on_gaps_opened(self, fresh) -> None:
-        c = self.mon.c
-        c["gap_opened"].inc(len(fresh))
-        c["gap_bytes"].inc(sum(r.length for r in fresh))
-
-    def on_gap_removed(self, rng) -> None:
-        if self.abandoning:
-            self.mon.c["gap_abandoned"].inc()
-            return
-        self.mon.c["gap_filled"].inc()
-        self.mon.observe_lag(self.addr, self.sim.now - rng.created_us)
-
-    # -- NAK-manager hooks ----------------------------------------------
-
-    def on_nak_tick(self, pending: int, due: int) -> None:
-        if pending > due:
-            self.mon.c["nak_suppressed_timer"].inc(pending - due)
-
-    def on_nak_sent(self, rng) -> None:
-        c = self.mon.c
-        c["nak_sent"].inc()
-        if rng.tries > 1:   # mark_sent already ran: tries==1 is a first send
-            c["nak_resent"].inc()
-
-    def on_peer_repair(self, naks, start: int, end: int) -> None:
-        """A peer's multicast repair arrived covering [start, end):
-        every pending NAK range it overlaps was resolved by the peer
-        instead of by our own re-NAK reaching the sender."""
-        overlapped = 0
-        for rng in naks:
-            if seq_lt(rng.start, end) and seq_gt(rng.end, start):
-                overlapped += 1
-        if overlapped:
-            self.mon.c["nak_suppressed_peer"].inc(overlapped)
-
-    # -- data-path hooks -------------------------------------------------
-
-    def on_duplicate_data(self, skb, peer_repair: bool) -> None:
-        c = self.mon.c
-        c["dup_data"].inc()
-        if skb.tries > 1 or peer_repair:
-            c["repair_redundant"].inc()
-            c["repair_redundant_bytes"].inc(skb.length)
-
-    def on_repair_useful(self, skb) -> None:
-        self.mon.c["repair_useful"].inc()
-
-    # -- repair-cache hooks ----------------------------------------------
-
-    def on_cache_insert(self) -> None:
-        self.mon.c["cache_insert"].inc()
-
-    def on_cache_evict(self) -> None:
-        self.mon.c["cache_evict"].inc()
-
-    def on_cache_overwrite(self) -> None:
-        self.mon.c["cache_overwrite"].inc()
-
-    def on_cache_hit(self, chunks: int) -> None:
-        self.mon.c["cache_hit"].inc(chunks)
-
-    def on_cache_miss(self) -> None:
-        self.mon.c["cache_miss"].inc()
-
-    def on_repair_suppressed(self) -> None:
-        self.mon.c["repair_suppressed"].inc()
-
-    # -- update-policy hook ----------------------------------------------
-
-    def on_update_adjust(self, delta: int) -> None:
-        self.mon.c["update_up" if delta > 0 else "update_down"].inc()
+#: every ledger cell -> (role whose ``Counters`` keep it, field), in
+#: fixed order so the ``health.*`` registry exports stay deterministic;
+#: update-period adjustments live on the receiver's ``UpdatePolicy``
+_CELLS = {
+    "gap_opened": ("rx", "gaps_opened"),
+    "gap_bytes": ("rx", "gap_bytes"),
+    "gap_filled": ("rx", "gaps_filled"),
+    "gap_abandoned": ("rx", "gaps_abandoned"),
+    "nak_sent": ("rx", "naks_sent"),
+    "nak_resent": ("rx", "naks_resent"),
+    "nak_suppressed_timer": ("rx", "naks_suppressed_timer"),
+    "nak_suppressed_peer": ("rx", "naks_suppressed_peer"),
+    "dup_data": ("rx", "dup_pkts_rcvd"),
+    "repair_useful": ("rx", "repairs_useful"),
+    "repair_redundant": ("rx", "repairs_redundant"),
+    "repair_redundant_bytes": ("rx", "repair_redundant_bytes"),
+    "cache_insert": ("rx", "repair_cache_inserts"),
+    "cache_evict": ("rx", "repair_cache_evictions"),
+    "cache_overwrite": ("rx", "repair_cache_overwrites"),
+    "cache_hit": ("rx", "repair_cache_hits"),
+    "cache_miss": ("rx", "repair_cache_misses"),
+    "repair_suppressed": ("rx", "local_repairs_suppressed"),
+    "sender_naks_rcvd": ("tx", "naks_rcvd"),
+    "sender_nak_errs": ("tx", "nak_errs_sent"),
+    "sender_loss_events": ("tx", "loss_events"),
+    "repair_deflected": ("tx", "repairs_deflected"),
+    "update_up": ("update", "adjust_ups"),
+    "update_down": ("update", "adjust_downs"),
+}
 
 
 class HealthMonitor:
-    """One run's protocol-health ledger.
+    """One run's protocol-health view over its H-RMC endpoints.
 
-    Doubles as the sender-side probe (the sender's hook sites call the
-    monitor directly); receivers get a :class:`ReceiverHealthProbe`
-    each.  With a :class:`~repro.obs.metrics.MetricsRegistry` supplied,
-    the ledger counters live in the registry (``health.*``) and ride
-    every existing export; standalone, they are plain counters.
+    :meth:`watch` names the endpoints (``Observability.attach`` passes
+    the sockets it is given; baseline-protocol transports are skipped).
+    With a :class:`~repro.obs.metrics.MetricsRegistry` supplied, every
+    ledger cell is also a ``health.*`` counter reading the endpoints'
+    ``Counters`` on demand, so it rides every existing export and the
+    metrics-at-failure snapshot; :meth:`finalize` fills the
+    ``health.recovery_lag_us`` histogram.
     """
 
     def __init__(self, registry=None):
-        self.c: dict[str, Counter] = {}
-        for key in _COUNTER_KEYS:
-            name = f"health.{key}"
-            self.c[key] = (registry.counter(name) if registry is not None
-                           else Counter(name))
-        self.lag_hist = (registry.histogram("health.recovery_lag_us",
-                                            LAG_BOUNDS_US)
-                         if registry is not None
-                         else Histogram("health.recovery_lag_us",
-                                        LAG_BOUNDS_US))
-        #: host -> [filled, total_lag_us, max_lag_us]
-        self._lag_by_host: dict[str, list] = {}
         self._sender = None
         self._receivers: list = []
-        self.finalized_at_us: Optional[int] = None
+        self._registry_lags: Optional[Histogram] = None
+        if registry is not None:
+            for key in _CELLS:
+                registry.counter_view(f"health.{key}",
+                                      lambda key=key: self.cell(key))
+            self._registry_lags = registry.histogram(
+                "health.recovery_lag_us", LAG_BOUNDS_US)
 
-    # -- wiring (called by HRMCTransport when roles come up) -------------
+    def watch(self, ssock=None, rsocks=()) -> None:
+        """Observe the H-RMC transports behind these sockets."""
+        t = getattr(ssock, "transport", None)
+        if isinstance(t, HRMCTransport):
+            self._sender = t
+        self._receivers = [s.transport for s in rsocks
+                           if isinstance(s.transport, HRMCTransport)]
 
-    def bind_sender(self, sender) -> None:
-        self._sender = sender
-        sender.health = self
+    # -- reads --------------------------------------------------------------
 
-    def bind_receiver(self, receiver) -> None:
-        probe = ReceiverHealthProbe(self, receiver.host.addr,
-                                    receiver.sim)
-        receiver.health = probe
-        receiver.naks.health = probe
-        receiver.update.health = probe
-        self._receivers.append(receiver)
+    def cell(self, key: str) -> int:
+        """Current value of one ledger cell, summed over the endpoints."""
+        role, attr = _CELLS[key]
+        if role == "tx":
+            return getattr(self._sender_stats(), attr)
+        if role == "rx":
+            return sum(getattr(t.stats, attr) for t in self._receivers)
+        return sum(getattr(r.update, attr) for r in self._roles())
 
-    # -- sender-side hooks ------------------------------------------------
+    def _sender_stats(self) -> Counters:
+        return self._sender.stats if self._sender is not None \
+            else Counters()
 
-    def on_nak_rcvd(self) -> None:
-        self.c["sender_naks_rcvd"].inc()
+    def _roles(self) -> list:
+        """The receiver roles that came up (joined the group)."""
+        return [t.receiver for t in self._receivers
+                if t.receiver is not None]
 
-    def on_nak_err(self) -> None:
-        self.c["sender_nak_errs"].inc()
-
-    def on_loss_event(self) -> None:
-        self.c["sender_loss_events"].inc()
-
-    def on_repair_deflected(self) -> None:
-        self.c["repair_deflected"].inc()
-
-    # -- lag accounting ---------------------------------------------------
-
-    def observe_lag(self, addr: str, lag_us: int) -> None:
-        self.lag_hist.observe(lag_us)
-        agg = self._lag_by_host.get(addr)
-        if agg is None:
-            self._lag_by_host[addr] = [1, lag_us, lag_us]
-        else:
-            agg[0] += 1
-            agg[1] += lag_us
-            if lag_us > agg[2]:
-                agg[2] = lag_us
-
-    # -- views -------------------------------------------------------------
+    def _lags(self, hist: Histogram) -> Histogram:
+        for r in self._roles():
+            for lag in r.recovery_lags_us:
+                hist.observe(lag)
+        return hist
 
     @property
     def group_size(self) -> int:
-        return len(self._receivers)
+        return len(self._roles())
 
-    def finalize(self, now_us: int) -> None:
-        if self.finalized_at_us is None:
-            self.finalized_at_us = now_us
+    def finalize(self) -> None:
+        """The run is over: fill the registry's lag histogram (once)."""
+        if self._registry_lags is not None:
+            self._lags(self._registry_lags)
+            self._registry_lags = None
 
     def unresolved_gaps(self) -> int:
-        return sum(len(r.naks) for r in self._receivers)
+        return sum(len(r.naks) for r in self._roles())
 
     @staticmethod
     def suppression_effectiveness(sent: int, timer: int, peer: int) -> float:
@@ -249,24 +157,31 @@ class HealthMonitor:
         """The compact JSON-safe health document: what crosses the
         fleet worker boundary and what ``health report --json`` and the
         sweep analytics consume."""
-        v = {k: c.value for k, c in self.c.items()}
+        v = {key: self.cell(key) for key in _CELLS}
         eff = self.suppression_effectiveness(
             v["nak_sent"], v["nak_suppressed_timer"],
             v["nak_suppressed_peer"])
         losses = v["sender_loss_events"]
         useful, redundant = v["repair_useful"], v["repair_redundant"]
-        sstats = self._sender.stats if self._sender is not None else None
+        sstats = self._sender_stats()
         feedback = (sstats.naks_rcvd + sstats.updates_rcvd +
-                    sstats.rate_requests_rcvd +
-                    sstats.urgent_requests_rcvd
-                    if sstats is not None else 0)
+                    sstats.rate_requests_rcvd + sstats.urgent_requests_rcvd)
+        #: host -> [filled, total_lag_us, max_lag_us]
+        by_host: dict[str, list] = {}
+        for r in self._roles():
+            if not r.recovery_lags_us:
+                continue
+            agg = by_host.setdefault(r.host.addr, [0, 0, 0])
+            agg[0] += len(r.recovery_lags_us)
+            agg[1] += sum(r.recovery_lags_us)
+            agg[2] = max(agg[2], max(r.recovery_lags_us))
         per_host = [
             {"host": host, "filled": agg[0],
              "mean_us": round(agg[1] / agg[0], 1), "max_us": agg[2]}
-            for host, agg in sorted(self._lag_by_host.items())]
+            for host, agg in sorted(by_host.items())]
         worst = max(per_host, key=lambda r: r["max_us"]) if per_host \
             else None
-        h = self.lag_hist
+        h = self._lags(Histogram("health.recovery_lag_us", LAG_BOUNDS_US))
         return {
             "group_size": self.group_size,
             "suppression": {
@@ -288,8 +203,8 @@ class HealthMonitor:
                 if losses else 0.0,
             },
             "repair": {
-                "retrans_pkts": sstats.retrans_pkts if sstats else 0,
-                "retrans_bytes": sstats.retrans_bytes if sstats else 0,
+                "retrans_pkts": sstats.retrans_pkts,
+                "retrans_bytes": sstats.retrans_bytes,
                 "useful": useful,
                 "redundant": redundant,
                 "redundant_bytes": v["repair_redundant_bytes"],

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.sim.engine import US_PER_SEC
 
-__all__ = ["Counter", "Histogram", "TimeSeries", "MetricsRegistry",
+__all__ = ["Counter", "CounterView", "Histogram", "TimeSeries", "MetricsRegistry",
            "LATENCY_BOUNDS_US"]
 
 #: default histogram buckets for latency-flavoured metrics (microseconds,
@@ -38,6 +38,24 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
+
+
+class CounterView(Counter):
+    """A counter kept elsewhere (e.g. a protocol ``Counters`` field),
+    read on demand, so one count is never kept twice."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, name: str, read: Callable[[], int]):
+        self.name = name
+        self.read = read
+
+    @property
+    def value(self) -> int:  # type: ignore[override]
+        return self.read()
+
+    def inc(self, n: int = 1) -> None:
+        raise TypeError(f"{self.name} is a view; increment its source")
 
 
 class Histogram:
@@ -178,6 +196,11 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         if name not in self.counters:
             self.counters[name] = Counter(name)
+        return self.counters[name]
+
+    def counter_view(self, name: str, read: Callable[[], int]) -> Counter:
+        """Register ``name`` as a :class:`CounterView` over ``read``."""
+        self.counters[name] = CounterView(name, read)
         return self.counters[name]
 
     def histogram(self, name: str,

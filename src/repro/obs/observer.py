@@ -32,7 +32,7 @@ from repro.core.seq import seq_sub
 from repro.obs.export import (summary_text, write_chrome_trace,
                               write_series_csv, write_series_jsonl)
 from repro.obs.metrics import LATENCY_BOUNDS_US, MetricsRegistry
-from repro.obs.profiler import SimProfiler
+from repro.obs.perf.profiler import PerfProfiler
 from repro.obs.spans import SpanCollector
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,17 +69,17 @@ class Observability:
         self.scrape_interval_us = int(scrape_interval_us)
         self.registry = MetricsRegistry()
         # the protocol-health observatory (repro.obs.health): ledger
-        # counters live in this registry so they ride every export
+        # views live in this registry so they ride every export
         self.health = None
         if health:
             from repro.obs.health import HealthMonitor
             self.health = HealthMonitor(self.registry)
         # the perf observatory (repro.obs.perf.PerfObservatory) brings
-        # its own class-attributing profiler, superseding profile=True
+        # its own (stack-sampling) profiler, superseding profile=True
         self.perf = perf
-        self.profiler: Optional[SimProfiler] = \
+        self.profiler: Optional[PerfProfiler] = \
             perf.profiler if perf is not None else (
-                SimProfiler() if profile else None)
+                PerfProfiler() if profile else None)
         self.spans: Optional[SpanCollector] = None
         self._latency_bounds = latency_bounds
         self._sim = None
@@ -115,15 +115,7 @@ class Observability:
         tracer.add_raw_listener(self.spans.on_event)
 
         if self.health is not None:
-            # hand the monitor to every H-RMC endpoint; the transport
-            # forwards it to the lazily created sender/receiver role
-            # (baseline transports have no ``health`` slot and are
-            # simply not health-instrumented)
-            endpoints = ([ssock] if ssock is not None else []) + list(rsocks)
-            for sock in endpoints:
-                t = getattr(sock, "transport", None)
-                if t is not None and hasattr(t, "health"):
-                    t.health = self.health
+            self.health.watch(ssock, rsocks)
 
         if self._want_lineage:
             from repro.obs.causal import LineageRecorder
@@ -216,7 +208,7 @@ class Observability:
         if self.perf is not None:
             self.perf.finalize(now_us, self.spans)
         if self.health is not None:
-            self.health.finalize(now_us)
+            self.health.finalize()
 
     @staticmethod
     def _progress_signature(ssock, rsocks):

@@ -37,12 +37,12 @@ from typing import Optional
 
 from repro.obs.perf.alloc import AllocTracker
 from repro.obs.perf.flame import StackSampler, flamegraph_svg
-from repro.obs.perf.profiler import PerfProfiler
+from repro.obs.perf.profiler import PerfProfiler, SiteStats, site_of
 from repro.obs.perf.taxonomy import (EVENT_CLASSES, classify, register_site,
                                      timer_class)
 
-__all__ = ["PerfObservatory", "PerfProfiler", "StackSampler",
-           "AllocTracker", "EVENT_CLASSES", "classify", "register_site",
+__all__ = ["PerfObservatory", "PerfProfiler", "SiteStats", "site_of",
+           "StackSampler", "AllocTracker", "EVENT_CLASSES", "classify", "register_site",
            "timer_class", "flamegraph_svg"]
 
 

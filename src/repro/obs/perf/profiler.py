@@ -1,24 +1,25 @@
-"""Event-class engine profiler.
+"""The engine profiler.
 
-:class:`PerfProfiler` extends the flat per-site
-:class:`~repro.obs.profiler.SimProfiler` with the observatory's three
-jobs:
+Attached as ``Simulator.profiler``, the engine routes every callback
+through :meth:`PerfProfiler.execute`, which attributes two clocks --
+the virtual-clock advance that reached each firing and the callback's
+wall time -- per callback *site* (module-qualified function name) and
+per **event class** (see :mod:`repro.obs.perf.taxonomy`; rendered as
+the "tax table" of events/s and self-wall share per class).
 
-* aggregate the same two clocks (virtual advance, callback wall time)
-  per **event class** (see :mod:`repro.obs.perf.taxonomy`) and render
-  the "tax table" -- events/s and self-wall share per class;
-* memoize classification and site labels by underlying function object
-  so the per-event overhead is two dict probes (bound methods are
-  recreated per schedule, so caching by callback identity would never
-  hit -- the cache key is ``callback.__func__``);
-* hand every Nth executed callback to a
-  :class:`~repro.obs.perf.flame.StackSampler` -- sampling is keyed to
-  the deterministic event counter, never to wall time, so the set of
-  sampled callbacks is identical across runs of the same scenario.
+* Site labels and classes are memoized by underlying function object
+  (bound methods are recreated per schedule, so caching by callback
+  identity would never hit -- the key is ``callback.__func__``).
+* With a :class:`~repro.obs.perf.flame.StackSampler`, every Nth
+  executed callback is traced into the flamegraph; sampling is keyed
+  to the deterministic event counter, never to wall time.
+* Attribution is exact: cancelled entries never reach ``execute`` and
+  heap compaction only touches entries that will never fire.
 
-The profiler only exists when the observatory is enabled; a disabled
-run never constructs one (``Simulator.profiler`` stays ``None`` and the
-engine takes the bare path).
+The profiler only exists when asked for (``Observability(profile=True)``
+or a :class:`~repro.obs.perf.PerfObservatory`); otherwise
+``Simulator.profiler`` stays ``None`` and the engine takes the bare
+path.
 """
 
 from __future__ import annotations
@@ -29,21 +30,44 @@ from typing import Callable, Optional
 
 from repro.obs.perf.flame import StackSampler
 from repro.obs.perf.taxonomy import EVENT_CLASSES, classify
-from repro.obs.profiler import SimProfiler, SiteStats, site_of
 
-__all__ = ["PerfProfiler"]
+__all__ = ["PerfProfiler", "SiteStats", "site_of"]
+
+
+def site_of(callback: Callable) -> str:
+    """Stable label for a callback site, e.g. ``nic.NetworkInterface._tx_done``."""
+    fn = getattr(callback, "__func__", callback)
+    module = getattr(fn, "__module__", "") or ""
+    qualname = getattr(fn, "__qualname__", None) or repr(fn)
+    # drop the common package prefix; keep the leaf module for context
+    module = module.rsplit(".", 1)[-1]
+    return f"{module}.{qualname}" if module else qualname
 
 
 @dataclass
-class PerfProfiler(SimProfiler):
-    """Engine profiler with event-class attribution and stack sampling."""
+class SiteStats:
+    """Per-site (or per-class) attribution."""
 
+    events: int = 0
+    sim_us: int = 0      # virtual-clock advance attributed here
+    wall_ns: int = 0     # real time spent inside the callbacks
+
+
+@dataclass
+class PerfProfiler:
+    """Engine profiler; assign to ``Simulator.profiler`` before running."""
+
+    sites: dict[str, SiteStats] = field(default_factory=dict)
     classes: dict[str, SiteStats] = field(default_factory=dict)
+    events: int = 0
+    wall_ns_total: int = 0
     sampler: Optional[StackSampler] = None
     _fn_site: dict = field(default_factory=dict, repr=False)
     _fn_class: dict = field(default_factory=dict, repr=False)
 
     def execute(self, callback: Callable, args: tuple, sim_dt_us: int) -> None:
+        """Run ``callback(*args)`` under the profiler (called by the
+        engine for every non-cancelled entry)."""
         fn = getattr(callback, "__func__", callback)
         site = self._fn_site.get(fn)
         if site is None:
@@ -84,6 +108,28 @@ class PerfProfiler(SimProfiler):
             self.wall_ns_total += wall
 
     # -- views ----------------------------------------------------------
+
+    def events_per_sec(self) -> float:
+        """Engine throughput: callbacks executed per wall-clock second
+        of callback time (the engine's own loop overhead excluded)."""
+        if self.wall_ns_total <= 0:
+            return 0.0
+        return self.events * 1e9 / self.wall_ns_total
+
+    def top(self, n: int = 10, key: str = "wall") -> list[list]:
+        """``n`` hottest sites as table rows
+        ``[site, events, sim_ms, wall_ms, wall_share]``."""
+        if key not in ("wall", "sim", "events"):
+            raise ValueError(f"unknown sort key {key!r}")
+        idx = {"events": lambda s: s.events, "sim": lambda s: s.sim_us,
+               "wall": lambda s: s.wall_ns}[key]
+        ranked = sorted(self.sites.items(),
+                        key=lambda kv: (-idx(kv[1]), kv[0]))
+        total_wall = self.wall_ns_total or 1
+        return [[site, s.events, round(s.sim_us / 1000, 1),
+                 round(s.wall_ns / 1e6, 2),
+                 f"{100.0 * s.wall_ns / total_wall:.1f}%"]
+                for site, s in ranked[:n]]
 
     def coverage(self) -> float:
         """Fraction of executed callbacks attributed to a named class

@@ -73,7 +73,7 @@ class Simulator:
         self._running = False
         self.events_processed: int = 0
         self.compactions: int = 0
-        # optional instrumentation hook (see repro.obs.profiler): when
+        # optional instrumentation hook (see repro.obs.perf.profiler): when
         # set, every executed callback is routed through
         # ``profiler.execute(callback, args, sim_dt_us)`` where
         # ``sim_dt_us`` is the virtual-clock advance that firing caused.
@@ -201,27 +201,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute a single event.  Returns ``False`` when none remain."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
-                self._dead -= 1
-                continue
-            self._live -= 1
-            prev = self._now
-            self._now = entry.time
-            self.events_processed += 1
-            lineage = self.lineage
-            if lineage is not None:
-                lineage.current = entry.cause
-            if self.profiler is None:
-                entry.callback(*entry.args)
-            else:
-                self.profiler.execute(entry.callback, entry.args,
-                                      entry.time - prev)
-            if lineage is not None:
-                lineage.current = 0
-            return True
-        return False
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""

@@ -55,6 +55,28 @@ class Counters:
     fec_repairs: int = 0
     local_repairs_sent: int = 0
     local_repairs_used: int = 0
+    # protocol health (read by repro.obs.health): the receiver's gap
+    # lifecycle and NAK-suppression ledger...
+    gaps_opened: int = 0
+    gap_bytes: int = 0
+    gaps_filled: int = 0
+    gaps_abandoned: int = 0           # wiped by a NAK_ERR, never repaired
+    naks_resent: int = 0
+    naks_suppressed_timer: int = 0    # re-NAKs withheld by local suppression
+    naks_suppressed_peer: int = 0     # pending NAKs a peer repair resolved
+    # ...repair economics...
+    repairs_useful: int = 0
+    repairs_redundant: int = 0
+    repair_redundant_bytes: int = 0
+    repair_cache_inserts: int = 0
+    repair_cache_evictions: int = 0
+    repair_cache_overwrites: int = 0
+    repair_cache_hits: int = 0
+    repair_cache_misses: int = 0
+    local_repairs_suppressed: int = 0  # own repair withheld: a peer's came
+    # ...and the sender's side of it
+    repairs_deflected: int = 0        # request for a repair in flight
+    loss_events: int = 0              # NAK-triggered rate cuts
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -12,6 +12,8 @@ the invariant checker attached, and asserts the safety contract:
   delivers a verified suffix) or cleanly absent.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.harness.experiments import chaos_config
@@ -26,6 +28,9 @@ pytestmark = pytest.mark.chaos
 
 HRMC_SEEDS = list(range(20))
 BASELINE_SEEDS = list(range(8))
+#: initial sequence number 50 KB short of 2**32: a 200 KB transfer
+#: wraps the sequence space early on
+ISS_WRAP = 2**32 - 50_000
 
 
 def _run_chaos(protocol, seed, *, allow_crash, max_outage_us=None, cfg=None):
@@ -36,9 +41,15 @@ def _run_chaos(protocol, seed, *, allow_crash, max_outage_us=None, cfg=None):
                             max_sim_s=120)
 
 
-@pytest.mark.parametrize("seed", HRMC_SEEDS)
-def test_hrmc_survives_random_faults(seed):
-    sc, res = _run_chaos("hrmc", seed, allow_crash=True, cfg=chaos_config())
+@pytest.mark.parametrize(
+    "seed,iss",
+    [pytest.param(seed, None, id=str(seed)) for seed in HRMC_SEEDS] +
+    [pytest.param(seed, ISS_WRAP, id=f"{seed}-wrap") for seed in HRMC_SEEDS])
+def test_hrmc_survives_random_faults(seed, iss):
+    cfg = chaos_config()
+    if iss is not None:
+        cfg = replace(cfg, iss=iss)
+    sc, res = _run_chaos("hrmc", seed, allow_crash=True, cfg=cfg)
     assert res.invariant_checks > 0
     assert res.surviving_ok, (sc.fault_plan.describe(),
                               [(r.name, r.bytes_done, r.errors)

@@ -161,3 +161,31 @@ def test_job_timeout_is_a_bounded_failure():
     with pytest.raises(FleetError, match="wall clock"):
         fleet.run_specs([slow])
     assert fleet.stats.failed == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="POSIX alarm")
+def test_timeout_inside_a_process_step_is_not_swallowed(monkeypatch):
+    """The alarm may land while a simulated process is mid-step.  The
+    process trampoline records ordinary exceptions as process errors
+    and lets the run go on, so the timeout must not be one: here it
+    fires from the sender application's first send, and the job has to
+    fail with JobTimeout instead of completing as a failed transfer."""
+    from repro.core.protocol import HRMCTransport
+    from repro.fleet.worker import JobTimeout, execute_spec
+
+    send = HRMCTransport.sendmsg_some
+    fired = []
+
+    def alarmed(self, payload):
+        if not fired:
+            fired.append(True)
+            signal.raise_signal(signal.SIGALRM)   # the budget runs out here
+        return send(self, payload)
+
+    monkeypatch.setattr(HRMCTransport, "sendmsg_some", alarmed)
+    handler = signal.getsignal(signal.SIGALRM)
+    spec = RunSpec.lan(2, 10e6, seed=1, nbytes=20_000)
+    with pytest.raises(JobTimeout, match="wall clock"):
+        execute_spec(spec.to_dict(), timeout_s=60.0)
+    assert fired
+    assert signal.getsignal(signal.SIGALRM) is handler

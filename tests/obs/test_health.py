@@ -7,7 +7,8 @@ evidence is a *mutation test*: disabling the NAK suppression timer
 suppressed-by-timer to sent and inflate the feedback-implosion index
 -- if it doesn't, the ledger isn't actually distinguishing suppressed
 from sent feedback.  A second mutation (``local_recovery=True``)
-exercises the peer-suppression and repair-cache columns.
+exercises the peer-suppression and repair-cache columns.  All three
+runs are repeated with the sequence space wrapping mid-transfer.
 """
 
 from dataclasses import replace
@@ -22,6 +23,14 @@ from repro.obs.health import HealthMonitor
 from repro.workloads.scenarios import build_wan
 
 LOSSY = GroupSpec("L", delay_us=20_000, loss_rate=0.02)
+#: initial sequence number 50 KB short of 2**32
+ISS_WRAP = 2**32 - 50_000
+
+MUTATIONS = {
+    "baseline": HRMCConfig(),
+    "timer_disabled": replace(HRMCConfig(), nak_suppress_rtts=0.0),
+    "local_recovery": replace(HRMCConfig(), local_recovery=True),
+}
 
 
 def _run_health(cfg=None):
@@ -40,12 +49,12 @@ def baseline():
 
 @pytest.fixture(scope="module")
 def timer_disabled():
-    return _run_health(replace(HRMCConfig(), nak_suppress_rtts=0.0))
+    return _run_health(MUTATIONS["timer_disabled"])
 
 
 @pytest.fixture(scope="module")
 def local_recovery():
-    return _run_health(replace(HRMCConfig(), local_recovery=True))
+    return _run_health(MUTATIONS["local_recovery"])
 
 
 # -- the mutation test: timer off => ledger shifts, implosion rises ----
@@ -99,6 +108,18 @@ def test_local_recovery_exercises_peer_suppression(local_recovery):
     assert supp["suppressed_timer"] > supp["suppressed_peer"]
 
 
+# -- sequence wrap: the ledger is seq-relative --------------------------
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_sequence_wrap_leaves_the_ledger_unchanged(mutation, request):
+    """Starting 50 KB short of 2**32 wraps the sequence space early in
+    the transfer; every run above must come out cell for cell the same,
+    so the mutation results hold across the wrap too."""
+    _, unwrapped = request.getfixturevalue(mutation)
+    _, wrapped = _run_health(replace(MUTATIONS[mutation], iss=ISS_WRAP))
+    assert wrapped == unwrapped
+
+
 # -- payload shape and unit-level accounting ---------------------------
 
 def test_payload_is_json_safe_and_complete(baseline):
@@ -129,13 +150,15 @@ def test_effectiveness_ratio_definition():
 
 
 def test_standalone_monitor_needs_no_registry():
+    """Without a registry or endpoints (the tcp reference run) the
+    view is an all-zero, well-formed payload."""
     mon = HealthMonitor()
-    mon.c["nak_sent"].inc(3)
-    mon.observe_lag("10.1.0.2", 4_000)
-    mon.finalize(10_000)
+    mon.finalize()
     payload = mon.payload()
-    assert payload["suppression"]["naks_sent"] == 3
-    assert payload["lag"]["per_host"][0]["host"] == "10.1.0.2"
+    assert payload["group_size"] == 0
+    assert payload["suppression"]["naks_sent"] == 0
+    assert payload["lag"]["per_host"] == []
+    assert payload["lag"]["worst_host"] is None
     assert mon.summary_tables()
 
 

@@ -86,8 +86,8 @@ def test_zero_perturbation_with_lineage_chaos():
 
 
 def test_zero_perturbation_with_health_lan():
-    """The protocol-health observatory (PR 8) keeps the guarantee on
-    the clean path: every hook is a None-guarded attribute read."""
+    """The protocol-health observatory keeps the guarantee on the
+    clean path: it only reads the endpoints' counters."""
     build = lambda: build_lan(3, 10e6, seed=7)
     bare = _run(False, build)
     healthy = _run(True, build, health=True)
@@ -99,7 +99,7 @@ def test_zero_perturbation_with_health_lan():
 
 
 def test_zero_perturbation_with_health_lossy_wan():
-    """...and on the recovery path, where every ledger hook fires."""
+    """...and on the recovery path, where every ledger cell moves."""
     build = lambda: build_wan([LOSSY] * 3, 10e6, seed=21)
     bare = _run(False, build)
     healthy = _run(True, build, health=True)

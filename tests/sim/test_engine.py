@@ -194,9 +194,9 @@ def test_compaction_counters_consistent_after_run():
 # -- profiler instrumentation hook -----------------------------------------
 
 def test_profiler_receives_every_executed_callback():
-    from repro.obs.profiler import SimProfiler
+    from repro.obs.perf.profiler import PerfProfiler
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.profiler = PerfProfiler()
     for i in range(5):
         sim.call_at(i * 10, lambda: None)
     sim.run()
@@ -206,7 +206,7 @@ def test_profiler_receives_every_executed_callback():
 def test_profiler_attribution_exact_under_cancel():
     """Cancelled entries never reach the profiler, so per-site counts
     equal callbacks actually executed."""
-    from repro.obs.profiler import SimProfiler, site_of
+    from repro.obs.perf.profiler import PerfProfiler, site_of
 
     def victim():
         pass
@@ -215,7 +215,7 @@ def test_profiler_attribution_exact_under_cancel():
         pass
 
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.profiler = PerfProfiler()
     victims = [sim.call_at(i + 1, victim) for i in range(10)]
     for e in victims[:7]:
         sim.cancel(e)
@@ -231,13 +231,13 @@ def test_profiler_attribution_exact_under_cancel():
 def test_profiler_attribution_exact_under_compaction():
     """Heap compaction discards only never-to-fire entries: attribution
     is unchanged by however many rebuilds happen."""
-    from repro.obs.profiler import SimProfiler, site_of
+    from repro.obs.perf.profiler import PerfProfiler, site_of
 
     def kept():
         pass
 
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.profiler = PerfProfiler()
     entries = [sim.call_at(i + 1, kept) for i in range(500)]
     for i, e in enumerate(entries):
         if (i + 1) % 10:
@@ -251,9 +251,9 @@ def test_profiler_attribution_exact_under_compaction():
 def test_profiler_sim_time_attribution_sums_to_final_clock():
     """Each firing is charged the virtual-clock advance it caused, so
     the per-site sim_us totals partition the run's final time."""
-    from repro.obs.profiler import SimProfiler
+    from repro.obs.perf.profiler import PerfProfiler
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.profiler = PerfProfiler()
     sim.call_at(100, lambda: None)
     sim.call_at(100, lambda: None)   # same instant: zero advance
     sim.call_at(250, lambda: None)
@@ -264,9 +264,9 @@ def test_profiler_sim_time_attribution_sums_to_final_clock():
 
 
 def test_profiler_step_parity_with_run():
-    from repro.obs.profiler import SimProfiler
+    from repro.obs.perf.profiler import PerfProfiler
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.profiler = PerfProfiler()
     sim.call_at(5, lambda: None)
     sim.call_at(15, lambda: None)
     while sim.step():
@@ -279,13 +279,13 @@ def test_profiler_step_parity_with_run():
 def test_profiler_attributes_raising_callbacks():
     """A callback that raises is still attributed (try/finally), so the
     profile stays exact even when a run dies mid-flight."""
-    from repro.obs.profiler import SimProfiler
+    from repro.obs.perf.profiler import PerfProfiler
 
     def boom():
         raise RuntimeError("x")
 
     sim = Simulator()
-    sim.profiler = SimProfiler()
+    sim.profiler = PerfProfiler()
     sim.call_at(10, boom)
     with pytest.raises(RuntimeError):
         sim.run()
