@@ -16,7 +16,7 @@ from repro.core.receiver import HRMCReceiver
 from repro.core.sender import HRMCSender
 from repro.kernel.host import Host, Transport
 from repro.kernel.payload import Payload
-from repro.kernel.skbuff import SKBuff
+from repro.kernel.skbuff import SKB_OVERHEAD, SKBuff
 from repro.kernel.sock import Sock
 from repro.kernel.socket_api import Socket
 from repro.sim.timer import Timer
@@ -122,6 +122,10 @@ class HRMCTransport(Transport):
 
     def close_wait(self) -> Generator:
         if self.sender is not None:
+            # the FIN is a one-byte skb: charging it to a nearly full
+            # send buffer would overcommit sndbuf, so wait for room
+            while self.sock.wmem_free() < SKB_OVERHEAD + 1:
+                yield self.sock.write_space
             self.sender.queue_fin()
             while not self.sender.drained:
                 yield self.sock.state_change

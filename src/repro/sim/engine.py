@@ -8,45 +8,41 @@ coarsest is the 2 s keepalive cap).
 
 Events scheduled for the same instant fire in FIFO order of scheduling,
 which gives deterministic traces for a fixed seed.
+
+A scheduled event is a plain list ``[time, order, callback, args,
+cause]``.  ``(time, order)`` is unique, so ``heapq`` orders entries in C
+and never compares past ``order``.  ``cause`` is the causal-lineage node
+id of the event that scheduled this one (0 when lineage is off or the
+scheduler had no lineage; see :mod:`repro.obs.causal`).  Cancelling an
+entry sets its callback slot to ``None``; it stays in the heap until
+popped or compacted away.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, NamedTuple
 
-__all__ = ["Simulator", "SimulationError", "US_PER_MS", "US_PER_SEC"]
+__all__ = ["Simulator", "SimulationError", "PendingEvent",
+           "US_PER_MS", "US_PER_SEC"]
 
 US_PER_MS = 1_000
 US_PER_SEC = 1_000_000
+
+#: heap entry slots
+_TIME, _ORDER, _CALLBACK, _ARGS, _CAUSE = range(5)
 
 
 class SimulationError(RuntimeError):
     """Raised for scheduling errors (e.g. scheduling into the past)."""
 
 
-class _Entry:
-    """Heap entry.  ``cancelled`` supports O(1) lazy cancellation.
+class PendingEvent(NamedTuple):
+    """One live entry, as :meth:`Simulator.pending_entries` reports it."""
 
-    ``cause`` is the causal-lineage node id of the event that scheduled
-    this one (0 when lineage is off or the scheduler had no lineage);
-    see :mod:`repro.obs.causal`.
-    """
-
-    __slots__ = ("time", "order", "callback", "args", "cancelled", "cause")
-
-    def __init__(self, time: int, order: int, callback: Callable, args: tuple):
-        self.time = time
-        self.order = order
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.cause = 0
-
-    def __lt__(self, other: "_Entry") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.order < other.order
+    time: int
+    callback: Callable
+    cause: int
 
 
 class Simulator:
@@ -66,12 +62,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        self._heap: list[_Entry] = []
-        self._order: int = 0
-        self._live: int = 0  # non-cancelled entries in the heap
-        self._dead: int = 0  # cancelled entries still in the heap
-        self._running = False
-        self.events_processed: int = 0
+        self._heap: list[list] = []
+        self._order: int = 0     # entries ever scheduled
+        self._dead: int = 0      # cancelled entries still in the heap
+        self._cancels: int = 0   # entries ever cancelled
         self.compactions: int = 0
         # optional instrumentation hook (see repro.obs.perf.profiler): when
         # set, every executed callback is routed through
@@ -104,48 +98,53 @@ class Simulator:
     def now_seconds(self) -> float:
         return self._now / US_PER_SEC
 
+    @property
+    def events_processed(self) -> int:
+        """Callbacks fired so far (one that raised included): every
+        entry ever scheduled is fired, cancelled or still pending."""
+        return self._order - self._cancels - self.pending()
+
     # -- scheduling ---------------------------------------------------
 
-    def call_at(self, when: int, callback: Callable, *args: Any) -> _Entry:
+    def call_at(self, when: int, callback: Callable, *args: Any) -> list:
         """Schedule ``callback(*args)`` at absolute time ``when`` (us)."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when} (now is {self._now})"
             )
-        entry = _Entry(int(when), self._order, callback, args)
         lineage = self.lineage
-        if lineage is not None:
-            entry.cause = lineage.current
+        entry = [int(when), self._order, callback, args,
+                 0 if lineage is None else lineage.current]
         self._order += 1
-        heapq.heappush(self._heap, entry)
-        self._live += 1
+        heappush(self._heap, entry)
         return entry
 
-    def call_after(self, delay: int, callback: Callable, *args: Any) -> _Entry:
+    def call_after(self, delay: int, callback: Callable, *args: Any) -> list:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.call_at(self._now + int(delay), callback, *args)
 
-    def cancel(self, entry: _Entry) -> None:
-        """Cancel a previously scheduled entry (idempotent).
+    def cancel(self, entry: list) -> None:
+        """Cancel a scheduled entry that has not fired yet (idempotent).
 
         Cancellation is lazy (the entry stays in the heap until popped),
         but the heap is compacted once cancelled entries outnumber live
         ones: restartable timers re-armed every jiffy would otherwise
         accumulate dead entries for the whole run.
         """
-        if not entry.cancelled:
-            entry.cancelled = True
-            self._live -= 1
+        if entry[_CALLBACK] is not None:
+            entry[_CALLBACK] = None
+            self._cancels += 1
             self._dead += 1
-            if self._dead > self.COMPACT_MIN and self._dead > self._live:
+            if (self._dead > self.COMPACT_MIN
+                    and 2 * self._dead > len(self._heap)):
                 self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify."""
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        self._heap = [e for e in self._heap if e[_CALLBACK] is not None]
+        heapify(self._heap)
         self._dead = 0
         self.compactions += 1
 
@@ -158,41 +157,37 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the last event fires earlier.
         """
-        self._running = True
         budget = max_events if max_events is not None else -1
+        horizon = until if until is not None else float("inf")
         profiler = self.profiler
         lineage = self.lineage
-        heappop = heapq.heappop   # hoisted: one global lookup per run
         try:
             # NOTE: self._heap must be re-read every iteration -- a
             # callback may cancel enough entries to trigger _compact(),
             # which rebinds the list.
             while self._heap:
-                entry = self._heap[0]
-                if entry.cancelled:
-                    heappop(self._heap)
+                entry = heappop(self._heap)
+                time, _, callback, args, cause = entry
+                if callback is None:
                     self._dead -= 1
                     continue
-                if until is not None and entry.time > until:
+                if time > horizon:
+                    # same (time, order) key: it keeps its FIFO place
+                    heappush(self._heap, entry)
                     break
-                heappop(self._heap)
-                self._live -= 1
-                prev = self._now
-                self._now = entry.time
-                self.events_processed += 1
                 if lineage is not None:
-                    lineage.current = entry.cause
+                    lineage.current = cause
                 if profiler is None:
-                    entry.callback(*entry.args)
+                    self._now = time
+                    callback(*args)
                 else:
-                    profiler.execute(entry.callback, entry.args,
-                                     entry.time - prev)
+                    prev, self._now = self._now, time
+                    profiler.execute(callback, args, time - prev)
                 if budget > 0:
                     budget -= 1
                     if budget == 0:
                         break
         finally:
-            self._running = False
             if lineage is not None:
                 lineage.current = 0
         if until is not None and self._now < until:
@@ -207,19 +202,20 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
-        return self._live
+        return len(self._heap) - self._dead
 
     def peek_time(self) -> int | None:
         """Time of the next live event, or ``None`` if drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][_CALLBACK] is None:
+            heappop(heap)
             self._dead -= 1
-        return self._heap[0].time if self._heap else None
+        return heap[0][_TIME] if heap else None
 
-    def pending_entries(self, limit: int = 32) -> list[_Entry]:
+    def pending_entries(self, limit: int = 32) -> list[PendingEvent]:
         """The next ``limit`` live entries in firing order, without
         disturbing the heap.  Diagnostic only (stall-frontier snapshots
         -- see repro.obs.diag); O(n log n) in the heap size."""
-        live = [e for e in self._heap if not e.cancelled]
-        live.sort()
-        return live[:limit]
+        live = sorted(e for e in self._heap if e[_CALLBACK] is not None)
+        return [PendingEvent(e[_TIME], e[_CALLBACK], e[_CAUSE])
+                for e in live[:limit]]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import _CALLBACK, _TIME, Simulator
 
 __all__ = ["Timer", "JIFFY_US", "jiffies_to_us", "us_to_jiffies"]
 
@@ -58,13 +58,13 @@ class Timer:
 
     @property
     def pending(self) -> bool:
-        return self._entry is not None and not self._entry.cancelled
+        return self._entry is not None and self._entry[_CALLBACK] is not None
 
     @property
     def expires(self) -> int | None:
         """Absolute expiry time in us, or None if not armed."""
         if self.pending:
-            return self._entry.time
+            return self._entry[_TIME]
         return None
 
     def mod_timer(self, expires: int) -> None:

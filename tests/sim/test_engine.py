@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim.engine import Simulator, SimulationError
@@ -190,6 +192,75 @@ def test_compaction_counters_consistent_after_run():
     assert sim.pending() == 0
     assert sim._dead == 0
 
+
+
+def test_entry_past_until_keeps_its_fifo_place():
+    """An entry just past ``until`` stays pending, and the next run fires
+    it before an entry scheduled later for the same instant."""
+    sim = Simulator()
+    fired = []
+    sim.call_at(51, fired.append, "first")
+    sim.run(until=50)
+    assert fired == [] and sim.now == 50 and sim.pending() == 1
+    sim.call_at(51, fired.append, "second")
+    sim.run()
+    assert fired == ["first", "second"]
+
+
+def test_raising_callback_is_counted_and_run_resumes():
+    """Without a profiler, a callback that raises still counts as
+    processed, the pending count stays exact, and a second run carries
+    on in order."""
+    def boom():
+        raise RuntimeError("x")
+
+    sim = Simulator()
+    assert sim.profiler is None
+    fired = []
+    sim.call_at(10, fired.append, 1)
+    sim.call_at(20, boom)
+    sim.call_at(30, fired.append, 3)
+    late = sim.call_at(40, fired.append, 4)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.now == 20
+    assert sim.events_processed == 2
+    assert sim.pending() == 2
+    sim.cancel(late)
+    assert sim.pending() == 1
+    sim.run()
+    assert fired == [1, 3]
+    assert sim.events_processed == 3
+    assert sim.pending() == 0
+
+
+def test_pending_entries_in_firing_order_without_cancelled():
+    def a():
+        pass
+
+    def b():
+        pass
+
+    def c():
+        pass
+
+    sim = Simulator()
+    sim.call_at(30, c)
+    gone = sim.call_at(10, b)
+    sim.call_at(20, a)
+    sim.lineage = SimpleNamespace(current=7)   # captured as the cause
+    sim.call_at(20, b)
+    sim.lineage = None
+    sim.cancel(gone)
+    assert sim.pending_entries() == [(20, a, 0), (20, b, 7), (30, c, 0)]
+    (first,) = sim.pending_entries(limit=1)
+    assert (first.time, first.callback, first.cause) == (20, a, 0)
+    # a snapshot only: the heap still fires everything, in order
+    fired = []
+    sim.profiler = SimpleNamespace(
+        execute=lambda cb, args, dt: fired.append(cb))
+    sim.run()
+    assert fired == [a, b, c]
 
 # -- profiler instrumentation hook -----------------------------------------
 
