@@ -1,36 +1,24 @@
 """Performance snapshot: one fixed 100 Mbps scenario, measured.
 
-Runs a pinned LAN transfer under the full observability stack and
-writes ``BENCH_PR2.json`` at the repo root with the engine's events/sec,
-wall time, peak RSS and delivered-bytes/sec, so perf regressions across
-PRs show up as a diff of that file.  The asserted floors are
-deliberately loose (an order of magnitude under observed numbers) --
-they catch catastrophic slowdowns, not noise.
+Runs the pinned LAN transfer under the full observability stack and
+prints the engine's events/sec, wall time, peak RSS and delivered
+bytes/sec.  The asserted floors are deliberately loose (an order of
+magnitude under observed numbers) -- they catch catastrophic slowdowns,
+not noise; ``perfbench/run.py`` measures performance.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import resource
 import sys
 import time
 
+from benchmarks.conftest import (BANDWIDTH, N_RECEIVERS, NBYTES,
+                                 PINNED_SCENARIO, SEED, SNDBUF)
 from repro.harness.runner import run_transfer
 from repro.obs import Observability
-from repro.stats.bench import write_bench_snapshot
 from repro.workloads.scenarios import build_lan
-
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                          "BENCH_PR2.json")
-
-# pinned scenario: 2 receivers on 100 Mbps, 2 MB memory-to-memory,
-# 512K buffers -- comfortably past the stop-and-wait regime
-SEED = 7
-N_RECEIVERS = 2
-BANDWIDTH = 100e6
-NBYTES = 2_000_000
-SNDBUF = 512 * 1024
 
 
 def _peak_rss_kb() -> int:
@@ -50,13 +38,10 @@ def test_perf_snapshot():
     engine_eps = res.sim_events / wall_s
     delivered = NBYTES * N_RECEIVERS
     snapshot = {
-        "scenario": {
-            "kind": "lan", "receivers": N_RECEIVERS, "seed": SEED,
-            "bandwidth_bps": BANDWIDTH, "nbytes": NBYTES,
-            "sndbuf": SNDBUF,
-        },
+        "scenario": PINNED_SCENARIO,
         "sim_events": res.sim_events,
         "wall_s": round(wall_s, 3),
+        "events_per_s": round(engine_eps, 1),
         "events_per_s_in_callbacks":
             round(obs.profiler.events_per_sec()),
         "delivered_bytes_per_wall_s": round(delivered / wall_s),
@@ -64,10 +49,8 @@ def test_perf_snapshot():
         "sim_duration_s": round(res.duration_us / 1e6, 3),
         "peak_rss_kb": _peak_rss_kb(),
     }
-    doc = write_bench_snapshot(BENCH_PATH, "engine-snapshot", snapshot,
-                               events_per_s=engine_eps)
     print()
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(snapshot, indent=2, sort_keys=True))
 
     # loose floors: an order of magnitude below typical CI numbers
     assert engine_eps > 5_000, snapshot

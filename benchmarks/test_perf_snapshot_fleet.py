@@ -1,10 +1,9 @@
-"""Performance snapshot for the experiment fleet (PR 4).
+"""Performance snapshot for the experiment fleet.
 
 Runs the whole quick-scale experiment sweep three ways -- serial
 in-process, cold through a 4-worker fleet, and again warm from the
-content-addressed cache -- and writes ``BENCH_PR4.json`` at the repo
-root with the three wall times, the parallel speedup and the cache
-accounting.
+content-addressed cache -- and prints the three wall times, the
+parallel speedup and the cache accounting.
 
 Gates:
 
@@ -16,7 +15,7 @@ Gates:
 * on hosts with >= 4 CPUs, the 4-worker cold run is >= 2x faster than
   serial.  A process pool cannot beat serial on fewer cores, so the
   speedup floor is only asserted where the hardware can express it --
-  the snapshot's environment block records the CPU count either way.
+  the printed snapshot records the CPU count either way.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ import time
 
 from repro.fleet import Fleet
 from repro.harness.experiments import EXPERIMENTS, run_experiments
-from repro.stats.bench import measure_events_per_s, write_bench_snapshot
-
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                          "BENCH_PR4.json")
 
 WORKERS = 4
 SCALE = "quick"
@@ -66,6 +61,7 @@ def test_perf_snapshot_fleet():
         "experiments": len(EXPERIMENTS),
         "unique_runs": serial_fleet.stats.runs,
         "workers": WORKERS,
+        "cpus": os.cpu_count() or 1,
         "wall_serial_s": round(wall_serial, 3),
         "wall_parallel_cold_s": round(wall_cold, 3),
         "wall_parallel_warm_s": round(wall_warm, 3),
@@ -75,14 +71,8 @@ def test_perf_snapshot_fleet():
         "warm_store": warm_store,
         "reports_identical": serial == cold == warm,
     }
-    # the sweep measures fleet mechanics, not engine throughput: the
-    # canonical trajectory metric comes from one pinned-scenario run
-    pinned = measure_events_per_s()
-    snapshot["pinned_scenario_run"] = pinned
-    doc = write_bench_snapshot(BENCH_PATH, "fleet-speedup", snapshot,
-                               events_per_s=pinned["events_per_s"])
     print()
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(snapshot, indent=2, sort_keys=True))
 
     # determinism: same bytes no matter how the sweep was executed
     assert serial == cold, "parallel aggregates diverge from serial"

@@ -1,16 +1,15 @@
-"""Performance snapshot for the protocol-health observatory (PR 8).
+"""Performance snapshot for the protocol-health observatory.
 
 Runs the pinned 100 Mbps LAN transfer three ways -- bare, observed
-with the health ledger OFF, and observed with it ON -- and writes
-``BENCH_PR8.json`` at the repo root with all three events/sec figures
-and the health payload.
+with the health ledger OFF, and observed with it ON -- and prints all
+three events/sec figures and the health payload.
 
 The acceptance bar is the *marginal* cost of the health layer: the
 health-on run vs the otherwise-identical health-off run (same scrape
 loop, same span collector).  The ledger is plain ``Counters`` fields
 the protocol keeps either way, read after the run, so turning it on
-must be nearly free.  The bare figure is recorded for context (the observability
-base tax is PR 2/PR 7 territory, gated elsewhere).
+must be nearly free.  The bare figure is printed for context (the
+observability base tax is gated by ``test_perf_snapshot_observatory``).
 
 Gates:
 
@@ -26,23 +25,14 @@ Byte-identity of health-on vs unobserved runs is proven separately by
 from __future__ import annotations
 
 import json
-import os
 import time
 
+from benchmarks.conftest import (BANDWIDTH, N_RECEIVERS, NBYTES,
+                                 PINNED_SCENARIO, SEED, SNDBUF,
+                                 measure_events_per_s)
 from repro.harness.runner import run_transfer
 from repro.obs import Observability
-from repro.stats.bench import measure_events_per_s, write_bench_snapshot
 from repro.workloads.scenarios import build_lan
-
-BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                          "BENCH_PR8.json")
-
-# pinned scenario, identical to test_perf_snapshot / PINNED_SCENARIO
-SEED = 7
-N_RECEIVERS = 2
-BANDWIDTH = 100e6
-NBYTES = 2_000_000
-SNDBUF = 512 * 1024
 
 
 def _observed_run(health: bool):
@@ -74,22 +64,17 @@ def test_perf_snapshot_health():
     ratio = on_eps / off_eps
     payload = obs.health.payload()
     snapshot = {
-        "scenario": {
-            "kind": "lan", "receivers": N_RECEIVERS, "seed": SEED,
-            "bandwidth_bps": BANDWIDTH, "nbytes": NBYTES,
-            "sndbuf": SNDBUF,
-        },
+        "scenario": PINNED_SCENARIO,
         "sim_events": res.sim_events,
         "wall_s": round(wall_s, 3),
         "bare": bare,
         "observed_health_off_events_per_s": round(off_eps, 1),
+        "observed_health_on_events_per_s": round(on_eps, 1),
         "health_on_over_health_off": round(ratio, 3),
         "health": payload,
     }
-    doc = write_bench_snapshot(BENCH_PATH, "health-observatory",
-                               snapshot, events_per_s=on_eps)
     print()
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(snapshot, indent=2, sort_keys=True))
 
     assert ratio >= 0.90, snapshot
     # the pinned LAN is lossless: the ledger must be clean

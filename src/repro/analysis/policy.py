@@ -6,10 +6,10 @@ pure detectors and a reviewer can audit the whole policy at a glance.
 The mental model: *everything under* ``repro`` *is simulation path
 unless it is explicitly carved out below*.  The carve-outs are the
 boundary layers that legitimately talk to the host machine -- the CLI
-harness (progress timing), the wall-clock side of the dual profiler,
-the fleet executor (worker wall-clock timeouts) and the bench
-envelope.  New carve-outs belong in this file, in a PR, with a reason
--- not scattered through the tree as suppressions.
+harness (progress timing), the wall-clock side of the dual profiler
+and the fleet executor (worker wall-clock timeouts).  New carve-outs
+belong in this file, in a PR, with a reason -- not scattered through
+the tree as suppressions.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ __all__ = [
 
 #: modules that may read the host clock: harness progress output, the
 #: performance observatory (the engine profiler's wall attribution,
-#: stack sampling, tracemalloc/gc accounting), executor job timeouts,
-#: bench envelope + trajectory
+#: stack sampling, tracemalloc/gc accounting), executor job timeouts
 WALLCLOCK_ALLOWED = (
     "repro.harness",
     "repro.obs.perf",
     "repro.fleet.executor",
-    "repro.stats.bench",
 )
 
 #: the one module allowed to touch the stdlib ``random`` module: it is
@@ -55,7 +53,7 @@ ORDERING_PACKAGES = (
 )
 
 #: the only package that may reach fork/subprocess machinery at all
-FORK_ALLOWED = ("repro.fleet", "repro.stats.bench")
+FORK_ALLOWED = ("repro.fleet",)
 
 #: the only module that may install signal handlers / arm timers
 #: (per-job SIGALRM wall-clock timeouts around worker runs)

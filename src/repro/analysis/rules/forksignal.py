@@ -5,9 +5,9 @@ would fire inside whichever run the worker happens to be executing.
 Fork/subprocess reachability outside the fleet likewise breaks the
 "a worker computes a pure function of its RunSpec" contract that the
 content-addressed cache depends on.  Policy: ``os.fork``/``multi-
-processing``/``subprocess`` only under ``repro.fleet`` (plus the bench
-envelope's ``git rev-parse``); handler installation (``signal.signal``,
-``setitimer``, ``alarm``) only in ``repro.fleet.worker``.
+processing``/``subprocess`` only under ``repro.fleet``; handler
+installation (``signal.signal``, ``setitimer``, ``alarm``) only in
+``repro.fleet.worker``.
 """
 
 from __future__ import annotations

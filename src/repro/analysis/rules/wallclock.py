@@ -2,7 +2,7 @@
 
 Simulated time comes from ``Simulator.now()``; a host-clock read in
 protocol or model code makes behaviour depend on the machine's load and
-breaks byte-identical replay.  The harness/profiler/executor/bench
+breaks byte-identical replay.  The harness/profiler/executor
 carve-outs live in :mod:`repro.analysis.policy`.
 """
 

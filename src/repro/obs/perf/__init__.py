@@ -141,7 +141,7 @@ class PerfObservatory:
         return flamegraph_svg(sampler.stacks, width=width)
 
     def bench_payload(self) -> dict:
-        """JSON-safe block for bench snapshots / fleet summaries."""
+        """JSON-safe block for fleet summaries."""
         payload = {
             "events": self.profiler.events,
             "coverage": round(self.coverage(), 4),

@@ -155,8 +155,13 @@ class Simulator:
         ``max_events`` callbacks have fired.  Returns the final time.
 
         When ``until`` is given the clock is advanced to exactly ``until``
-        even if the last event fires earlier.
+        even if the last event fires earlier -- unless the run stopped on
+        its ``max_events`` budget, which leaves the clock at the last
+        fired event so nothing still pending lies in the past.
+        ``max_events=0`` fires nothing.
         """
+        if max_events is not None and max_events <= 0:
+            return self._now
         budget = max_events if max_events is not None else -1
         horizon = until if until is not None else float("inf")
         profiler = self.profiler
@@ -190,7 +195,7 @@ class Simulator:
         finally:
             if lineage is not None:
                 lineage.current = 0
-        if until is not None and self._now < until:
+        if until is not None and budget != 0 and self._now < until:
             self._now = until
         return self._now
 

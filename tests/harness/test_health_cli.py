@@ -1,8 +1,8 @@
 """The ``health`` CLI family: report (with bounds gating) and sweep.
 
-Exit-code contract (shared with ``diff``/``perf compare``): 0 = healthy
-/ clean sweep, 1 = run failed / bound violated / anomalies flagged,
-2 = unusable input.  The sweep test doubles as the quick-scale
+Exit-code contract (shared with ``diff``): 0 = healthy / clean sweep,
+1 = run failed / bound violated / anomalies flagged, 2 = unusable
+input.  The sweep test doubles as the quick-scale
 acceptance check for the paper's §5.2 claim: sender-visible feedback
 stays near-flat as the group grows (fitted exponent well below 1).
 """

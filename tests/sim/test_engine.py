@@ -92,12 +92,28 @@ def test_run_until_includes_boundary_events():
 
 
 def test_max_events_budget():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.call_at(i, fired.append, i)
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
+    cases = [
+        # (event times, run() kwargs, fired, clock after that run)
+        (range(10), {"max_events": 3}, [0, 1, 2], 2),
+        # a budget stop leaves the clock at the last fired event, not at
+        # ``until``, so the pending event at 20 is not left in the past
+        ((10, 20), {"until": 1000, "max_events": 1}, [10], 10),
+        # the horizon stops the run before the budget does
+        ((10, 20), {"until": 15, "max_events": 5}, [10], 15),
+        # a zero budget fires nothing and leaves the clock alone
+        ((10, 20), {"max_events": 0}, [], 0),
+        ((10, 20), {"until": 1000, "max_events": 0}, [], 0),
+    ]
+    for times, kwargs, fired_first, now_first in cases:
+        sim = Simulator()
+        fired = []
+        for t in times:
+            sim.call_at(t, fired.append, t)
+        assert sim.run(**kwargs) == now_first, kwargs
+        assert fired == fired_first, kwargs
+        # the rest fires in order on a later run; time never goes back
+        assert sim.run() == max(times), kwargs
+        assert fired == sorted(times), kwargs
 
 
 def test_step_single_event():
