@@ -1,9 +1,9 @@
 """Performance snapshot for the hot-path observatory.
 
-Runs the pinned 100 Mbps LAN transfer twice -- bare, then under the
-full performance observatory (event-class attribution + deterministic
-stack sampling) -- and prints both events/sec figures, the tax-table
-payload and the overhead ratio.
+Runs the pinned 100 Mbps LAN transfer bare and under the full engine
+profiler (event-class attribution + deterministic stack sampling),
+best of two runs each, and prints both events/sec figures, the tax
+table and the overhead ratio.
 
 Gates:
 
@@ -26,22 +26,30 @@ from benchmarks.conftest import (BANDWIDTH, N_RECEIVERS, NBYTES,
                                  measure_events_per_s)
 from repro.harness.runner import run_transfer
 from repro.obs import Observability
-from repro.obs.perf import PerfObservatory
 from repro.workloads.scenarios import build_lan
 
 SAMPLE_EVERY = 16
+REPEATS = 2
 
 
-def test_perf_snapshot_observatory():
-    bare = measure_events_per_s(repeats=2)
-
+def _profiled_run():
+    """One pinned transfer under the full profiler; (obs, res, wall_s)."""
     sc = build_lan(N_RECEIVERS, BANDWIDTH, seed=SEED)
-    perf = PerfObservatory(sample_every=SAMPLE_EVERY)
-    obs = Observability(perf=perf)
+    obs = Observability(profile=True, sample_every=SAMPLE_EVERY)
     t0 = time.perf_counter()
     res = run_transfer(sc, nbytes=NBYTES, sndbuf=SNDBUF, obs=obs)
     wall_s = time.perf_counter() - t0
     assert res.ok
+    return obs, res, wall_s
+
+
+def test_perf_snapshot_observatory():
+    bare = measure_events_per_s(repeats=REPEATS)
+    # best of the same number of runs on both sides: wall-clock noise
+    # only ever slows a run down
+    obs, res, wall_s = min((_profiled_run() for _ in range(REPEATS)),
+                           key=lambda run: run[2])
+    prof = obs.profiler
 
     profiled_eps = res.sim_events / wall_s
     ratio = bare["events_per_s"] / profiled_eps
@@ -52,14 +60,16 @@ def test_perf_snapshot_observatory():
         "events_per_s": round(profiled_eps, 1),
         "bare": bare,
         "overhead_bare_over_profiled": round(ratio, 3),
-        "perf": perf.bench_payload(),
+        "coverage": round(prof.coverage(), 4),
+        "tax_table": prof.tax_rows(),
+        "flame_samples": prof.sampler.samples,
     }
     print()
     print(json.dumps(snapshot, indent=2, sort_keys=True))
 
-    assert perf.profiler.events == res.sim_events
-    assert perf.coverage() >= 0.95, snapshot["perf"]
-    lines = perf.collapsed_lines()
+    assert prof.events == res.sim_events
+    assert prof.coverage() >= 0.95, snapshot
+    lines = prof.sampler.collapsed_lines()
     assert lines and all(line.startswith("engine;") for line in lines)
     # the instruments cost real time, but boundedly so
     assert ratio < 4.0, snapshot

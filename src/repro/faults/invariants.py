@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.seq import seq_gt, seq_lt, seq_sub
+from repro.kernel.skbuff import SKBuff
 from repro.trace.tracer import PacketTracer, TraceEvent
 
 __all__ = ["InvariantChecker", "InvariantViolation"]
@@ -108,7 +109,7 @@ class InvariantChecker:
 
     # -- event pump ---------------------------------------------------
 
-    def _on_event(self, ev: TraceEvent) -> None:
+    def _on_event(self, ev: TraceEvent, skb: SKBuff) -> None:
         self.checks += 1
         audit = (self.checks % self.AUDIT_EVERY) == 0
         for t in self._senders:

@@ -24,7 +24,7 @@ __all__ = ["RunSpec", "SPEC_VERSION"]
 
 #: bump when the spec schema or its execution semantics change in a way
 #: that makes old cached results incomparable
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 
 _SCENARIOS = ("lan", "wan", "chaos")
 
@@ -57,7 +57,6 @@ class RunSpec:
     max_sim_s: float = 3600.0
     invariants: bool = False
     obs: bool = False          # collect observability summary tables
-    perf: bool = False         # collect per-job event-class perf payload
     health: bool = False       # collect the protocol-health payload
     tag: str = ""              # human label (part of the identity)
 

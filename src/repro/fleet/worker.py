@@ -87,15 +87,9 @@ def run_spec(spec: RunSpec) -> RunSummary:
     scenario = _build_scenario(spec)
     cfg = _build_config(spec)
     obs = None
-    perf = None
-    if spec.obs or spec.perf or spec.health:
+    if spec.obs or spec.health:
         from repro.obs import Observability
-        if spec.perf:
-            # tax table only: flamegraph stacks would bloat the cached
-            # summary (sample_every=0 disables the stack sampler)
-            from repro.obs.perf import PerfObservatory
-            perf = PerfObservatory(sample_every=0)
-        obs = Observability(perf=perf, health=spec.health)
+        obs = Observability(health=spec.health)
     result = run_transfer(
         scenario, nbytes=spec.nbytes, protocol=spec.protocol,
         sndbuf=spec.sndbuf, rcvbuf=spec.rcvbuf, cfg=cfg, disk=spec.disk,
@@ -105,7 +99,6 @@ def run_spec(spec: RunSpec) -> RunSummary:
         result, plan_actions=len(plan) if plan is not None else 0,
         obs_tables=obs.summary_tables() if obs is not None and spec.obs
         else None,
-        perf=perf.bench_payload() if perf is not None else None,
         health=obs.health.payload()
         if obs is not None and obs.health is not None else None)
 

@@ -463,7 +463,6 @@ def _run_perf_profile(argv) -> int:
     performance observatory (repro.obs.perf)."""
     from repro.harness.runner import run_transfer
     from repro.obs import Observability
-    from repro.obs.perf import PerfObservatory
     from repro.stats.report import format_table
 
     parser = argparse.ArgumentParser(
@@ -489,9 +488,8 @@ def _run_perf_profile(argv) -> int:
         print("--sample-every must be >= 0", file=sys.stderr)
         return 2
 
-    perf = PerfObservatory(sample_every=args.sample_every,
-                           alloc=args.alloc)
-    obs = Observability(perf=perf, lineage=args.html)
+    obs = Observability(profile=True, sample_every=args.sample_every,
+                        alloc=args.alloc, lineage=args.html)
     tracer = None
     if args.html:
         from repro.trace.tracer import PacketTracer
@@ -508,7 +506,7 @@ def _run_perf_profile(argv) -> int:
           f"{args.nbytes} bytes: ok={result.ok} "
           f"sim_events={result.sim_events} wall={wall_s:.3f}s "
           f"events/s={events_per_s:.0f}\n")
-    for title, headers, rows in perf.summary_tables():
+    for title, headers, rows in obs.perf_tables():
         print(format_table(title, headers, rows))
         print()
 

@@ -7,8 +7,8 @@
 * :mod:`repro.obs.spans` -- packet-lifecycle latency histograms and
   protocol-phase spans stitched from the packet tap,
 * :mod:`repro.obs.perf` -- the engine profiler (simulated-time and
-  wall-clock attribution per callback site and event class) and the
-  performance observatory built on it,
+  wall-clock attribution per callback site and event class), its
+  flamegraph sampler and the allocation tracker,
 * :mod:`repro.obs.causal` -- the per-run causal lineage DAG (who
   caused what, from fault action to repaired byte),
 * :mod:`repro.obs.diag` -- root-cause queries over the DAG
@@ -19,7 +19,9 @@
 * :mod:`repro.obs.export` -- JSONL/CSV series dumps, text summaries
   and Chrome Trace Event Format JSON for Perfetto,
 * :mod:`repro.obs.observer` -- the :class:`Observability` facade that
-  wires the above into ``run_transfer(obs=...)``.
+  wires the above into ``run_transfer(obs=...)``; its five switches
+  (``profile``, ``sample_every``, ``alloc``, ``lineage``, ``health``)
+  choose the instruments.
 """
 
 from repro.obs.causal import (CauseNode, LineageRecorder, load_lineage,

@@ -14,6 +14,8 @@ from __future__ import annotations
 import html as _html
 from typing import Optional
 
+from repro.obs.perf.flame import flamegraph_svg
+
 __all__ = ["render_report", "write_report", "sparkline_svg",
            "render_sweep_report", "write_sweep_report"]
 
@@ -118,18 +120,15 @@ def render_report(obs, *, title: str = "H-RMC run report",
     # -- flamegraph (repro.obs.perf) -----------------------------------
     # the tax table and alloc tables already arrived via
     # obs.summary_tables(); the flamegraph needs its own inline SVG
-    perf = getattr(obs, "perf", None)
-    if perf is not None:
-        svg = perf.flame_svg()
-        if svg:
-            sampler = perf.sampler
-            out.append("<h2>flamegraph (deterministic event-count "
-                       "sampling)</h2>")
-            out.append(f'<p class="meta">{sampler.samples} sampled '
-                       f"callbacks (every {sampler.sample_every}th "
-                       f"event) · {len(sampler.stacks)} distinct "
-                       "stacks · width = self-wall share</p>")
-            out.append(svg)
+    sampler = obs.profiler.sampler if obs.profiler is not None else None
+    if sampler is not None and sampler.stacks:
+        out.append("<h2>flamegraph (deterministic event-count "
+                   "sampling)</h2>")
+        out.append(f'<p class="meta">{sampler.samples} sampled '
+                   f"callbacks (every {sampler.sample_every}th "
+                   f"event) · {len(sampler.stacks)} distinct "
+                   "stacks · width = self-wall share</p>")
+        out.append(flamegraph_svg(sampler.stacks))
 
     # -- causal diagnosis ----------------------------------------------
     if diagnoser is not None:

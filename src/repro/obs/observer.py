@@ -7,12 +7,14 @@ scenario:
 * a **scrape process** that samples registered gauges (window
   occupancy, socket-buffer usage, repair-cache bytes, advertised rate,
   NAK/UPDATE/retransmission rates, engine queue depth, per-link
-  utilisation) into time series every ``scrape_interval_us`` of
+  utilisation) into time series every :data:`SCRAPE_INTERVAL_US` of
   simulated time,
-* a **span collector** riding the packet tap as a raw listener
+* a **span collector** riding the packet tap as a listener
   (packet-lifecycle latency histograms and protocol-phase spans), and
 * optionally the **engine profiler** (simulated-time and wall-clock
-  attribution per callback site).
+  attribution per callback site and event class, with an optional
+  flamegraph sampler) and the **allocation tracker**
+  (:mod:`repro.obs.perf`).
 
 Zero-perturbation guarantee: every gauge is a pure read, the span
 collector never copies or mutates segments, and the scrape events only
@@ -31,7 +33,9 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.seq import seq_sub
 from repro.obs.export import (summary_text, write_chrome_trace,
                               write_series_csv, write_series_jsonl)
-from repro.obs.metrics import LATENCY_BOUNDS_US, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.perf.alloc import AllocTracker
+from repro.obs.perf.flame import StackSampler
 from repro.obs.perf.profiler import PerfProfiler
 from repro.obs.spans import SpanCollector
 
@@ -39,7 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.tracer import PacketTracer
     from repro.workloads.scenarios import Scenario
 
-__all__ = ["Observability"]
+__all__ = ["Observability", "SCRAPE_INTERVAL_US"]
+
+#: simulated time between gauge samples (50 ms -- five jiffies, fine
+#: enough to see rate-control dynamics without bloating dumps)
+SCRAPE_INTERVAL_US = 50_000
 
 
 class Observability:
@@ -47,26 +55,27 @@ class Observability:
 
     Parameters
     ----------
-    scrape_interval_us:
-        Simulated time between gauge samples (default 50 ms -- five
-        jiffies, fine enough to see rate-control dynamics without
-        bloating dumps).
     profile:
         Attach the engine profiler (adds a few percent of wall-clock
         overhead; simulated behaviour is unaffected either way).
-    latency_bounds:
-        Histogram bucket edges for the packet-lifecycle spans.
+    sample_every:
+        With ``profile``, trace every Nth executed engine event into
+        the flamegraph (0, the default, samples nothing).
+    alloc:
+        Track allocations and GC pauses per protocol phase
+        (tracemalloc; heavy).
+    lineage:
+        Record the causal lineage DAG and run the stall watchdog.
+    health:
+        Attach the protocol-health views.
     """
 
-    def __init__(self, *, scrape_interval_us: int = 50_000,
-                 profile: bool = False, lineage: bool = False,
-                 lineage_max_nodes: int = 200_000,
-                 stall_after_us: int = 2_000_000,
-                 latency_bounds=LATENCY_BOUNDS_US, perf=None,
+    def __init__(self, *, profile: bool = False, sample_every: int = 0,
+                 alloc: bool = False, lineage: bool = False,
                  health: bool = False):
-        if scrape_interval_us <= 0:
-            raise ValueError("scrape_interval_us must be positive")
-        self.scrape_interval_us = int(scrape_interval_us)
+        if sample_every < 0 or (sample_every and not profile):
+            raise ValueError("sample_every must be >= 0 and needs "
+                             "profile=True")
         self.registry = MetricsRegistry()
         # the protocol-health observatory (repro.obs.health): ledger
         # views live in this registry so they ride every export
@@ -74,14 +83,14 @@ class Observability:
         if health:
             from repro.obs.health import HealthMonitor
             self.health = HealthMonitor(self.registry)
-        # the perf observatory (repro.obs.perf.PerfObservatory) brings
-        # its own (stack-sampling) profiler, superseding profile=True
-        self.perf = perf
-        self.profiler: Optional[PerfProfiler] = \
-            perf.profiler if perf is not None else (
-                PerfProfiler() if profile else None)
+        self.profiler: Optional[PerfProfiler] = None
+        if profile:
+            self.profiler = PerfProfiler(
+                sampler=StackSampler(sample_every) if sample_every
+                else None)
+        self.alloc: Optional[AllocTracker] = \
+            AllocTracker() if alloc else None
         self.spans: Optional[SpanCollector] = None
-        self._latency_bounds = latency_bounds
         self._sim = None
         self.attached = False
         self.finalized_at_us: Optional[int] = None
@@ -89,8 +98,6 @@ class Observability:
         # bookkeeping riding the same attach, preserving the
         # zero-perturbation guarantee
         self._want_lineage = bool(lineage)
-        self._lineage_max_nodes = int(lineage_max_nodes)
-        self._stall_after_us = int(stall_after_us)
         self.lineage = None
         self.watchdog = None
         self.tracer = None
@@ -110,9 +117,8 @@ class Observability:
         self.tracer = tracer
         reg = self.registry
 
-        self.spans = SpanCollector(scenario.sender.addr,
-                                   self._latency_bounds)
-        tracer.add_raw_listener(self.spans.on_event)
+        self.spans = SpanCollector(scenario.sender.addr)
+        tracer.add_listener(self.spans.on_event)
 
         if self.health is not None:
             self.health.watch(ssock, rsocks)
@@ -120,12 +126,10 @@ class Observability:
         if self._want_lineage:
             from repro.obs.causal import LineageRecorder
             from repro.obs.diag import Watchdog
-            self.lineage = LineageRecorder(
-                sim, max_nodes=self._lineage_max_nodes)
+            self.lineage = LineageRecorder(sim)
             sim.lineage = self.lineage
             self.watchdog = Watchdog(
-                sim, self._progress_signature(ssock, list(rsocks)),
-                stall_after_us=self._stall_after_us)
+                sim, self._progress_signature(ssock, list(rsocks)))
 
         # engine
         reg.gauge("engine.queue_depth", sim.pending)
@@ -174,17 +178,17 @@ class Observability:
 
         if self.profiler is not None:
             sim.profiler = self.profiler
-        if self.perf is not None:
-            self.perf.attach()
+        if self.alloc is not None:
+            self.alloc.start()
 
         self._tick()   # scrape t=0, then self-schedule
         return self
 
     def _tick(self) -> None:
         self.registry.scrape(self._sim.now)
-        if self.perf is not None:
+        if self.alloc is not None and self.spans is not None:
             # heap/GC sampling rides the scrape tick: no extra events
-            self.perf.tick(self._sim.now, self.spans)
+            self.alloc.sample(self._sim.now, self.spans.current_phase())
         if self.watchdog is not None:
             # passive mid-run stall detection: piggybacks on the scrape
             # tick instead of scheduling its own events (two
@@ -194,7 +198,7 @@ class Observability:
         # drains, the scrape loop stops instead of ticking to the run's
         # time horizon
         if self._sim.pending() > 0:
-            self._sim.call_after(self.scrape_interval_us, self._tick)
+            self._sim.call_after(SCRAPE_INTERVAL_US, self._tick)
 
     def finalize(self, now_us: int) -> None:
         """Final scrape and span close-out; the harness calls this when
@@ -205,8 +209,10 @@ class Observability:
         self.registry.scrape(now_us)
         if self.spans is not None:
             self.spans.finalize(now_us)
-        if self.perf is not None:
-            self.perf.finalize(now_us, self.spans)
+        if self.alloc is not None:
+            phase = self.spans.current_phase() if self.spans else "idle"
+            self.alloc.sample(now_us, phase)
+            self.alloc.stop()
         if self.health is not None:
             self.health.finalize()
 
@@ -334,10 +340,33 @@ class Observability:
                 tables.append(("packet-lifecycle latency (us)",
                                ["histogram", "n", "mean", "p50", "p90",
                                 "max"], hist_rows))
-        if self.perf is not None:
-            tables.extend(self.perf.summary_tables())
+        tables.extend(self.perf_tables())
         if self.health is not None:
             tables.extend(self.health.summary_tables())
+        return tables
+
+    def perf_tables(self) -> list[tuple[str, list, list]]:
+        """The profiler's tax table and the allocation tables, as far
+        as those instruments are on."""
+        tables = []
+        prof = self.profiler
+        if prof is not None and prof.events:
+            tables.append((
+                f"event-class tax table (coverage "
+                f"{100.0 * prof.coverage():.1f}%)",
+                ["class", "events", "ev%", "wall_ms", "wall%",
+                 "avg_us", "sim_ms"], prof.tax_rows()))
+        if self.alloc is not None:
+            phase_rows = self.alloc.phase_rows()
+            if phase_rows:
+                tables.append(("heap by phase",
+                               ["phase", "samples", "max_cur_kb",
+                                "max_peak_kb", "gc_runs", "gc_pause_ms"],
+                               phase_rows))
+            growth_rows = self.alloc.growth_rows()
+            if growth_rows:
+                tables.append(("top allocation growth",
+                               ["site", "kb", "blocks"], growth_rows))
         return tables
 
     def summary(self) -> str:
@@ -364,10 +393,11 @@ class Observability:
         with open(paths["summary"], "w") as fh:
             fh.write(self.summary())
             fh.write("\n")
-        if self.perf is not None and self.perf.sampler is not None:
+        sampler = self.profiler.sampler if self.profiler else None
+        if sampler is not None:
             paths["collapsed"] = os.path.join(outdir,
                                               f"{prefix}.collapsed.txt")
-            self.perf.write_collapsed(paths["collapsed"])
+            sampler.write_collapsed(paths["collapsed"])
         if self.tracer is not None and self.lineage is not None:
             paths["trace"] = os.path.join(outdir, f"{prefix}.trace.jsonl")
             self.tracer.save(paths["trace"])

@@ -1,9 +1,8 @@
 """Hot-path performance observatory (``repro.obs.perf``).
 
-The measurement side of ROADMAP item 1: before the engine hot path can
-be rebuilt ~5x faster, someone has to say *where* the current ~55-75k
-events/s budget goes.  This package layers three instruments on the
-existing ``Simulator.profiler`` hook:
+Explains where one run's wall time goes (performance itself is measured
+by ``perfbench/``).  Three instruments ride the ``Simulator.profiler``
+hook and the observability scrape tick:
 
 * **event-class tax table** -- every executed callback attributed to a
   stable taxonomy (:mod:`~repro.obs.perf.taxonomy`), reported as
@@ -14,143 +13,28 @@ existing ``Simulator.profiler`` hook:
 * **allocation & GC tracking** -- tracemalloc phase snapshots and
   gc-pause counters (:mod:`~repro.obs.perf.alloc`), strictly opt-in.
 
-Everything hangs off :class:`PerfObservatory`, which plugs into
-:class:`~repro.obs.observer.Observability` via its ``perf=`` argument::
+:class:`~repro.obs.observer.Observability` owns all three::
 
-    perf = PerfObservatory(sample_every=16, alloc=True)
-    obs = Observability(perf=perf)
+    obs = Observability(profile=True, sample_every=16, alloc=True)
     res = run_transfer(build_lan(...), obs=obs)
-    print(tabulate(perf.tax_rows()))
-    perf.write_collapsed("lan.collapsed.txt")
+    print(obs.profiler.tax_rows())
+    obs.write_artifacts("out")     # ... plus <prefix>.collapsed.txt
 
 Wall-clock reads (``perf_counter_ns``, tracemalloc, gc) are measurement
 artifacts that never feed back into simulated behaviour; simlint's R1
-rule fences them inside this package.  When no observatory is attached
-the hot path pays nothing: ``Simulator.profiler`` stays ``None`` and no
-perf object exists (the disabled-path tests assert byte-identical
-traces and a zero tracemalloc diff).
+rule fences them inside this package.  When profiling is off the hot
+path pays nothing: ``Simulator.profiler`` stays ``None`` and no perf
+object exists (the disabled-path tests assert byte-identical traces and
+a zero tracemalloc diff).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.perf.alloc import AllocTracker
 from repro.obs.perf.flame import StackSampler, flamegraph_svg
 from repro.obs.perf.profiler import PerfProfiler, SiteStats, site_of
-from repro.obs.perf.taxonomy import (EVENT_CLASSES, classify, register_site,
-                                     timer_class)
+from repro.obs.perf.taxonomy import EVENT_CLASSES, classify, timer_class
 
-__all__ = ["PerfObservatory", "PerfProfiler", "SiteStats", "site_of",
-           "StackSampler", "AllocTracker", "EVENT_CLASSES", "classify", "register_site",
-           "timer_class", "flamegraph_svg"]
-
-
-class PerfObservatory:
-    """One run's performance instruments, bundled for ``Observability``.
-
-    Parameters
-    ----------
-    sample_every:
-        Trace every Nth executed engine event into the flamegraph
-        (0 disables stack sampling entirely).
-    alloc:
-        Enable tracemalloc/gc tracking (heavy; off by default).
-    top_sites:
-        Allocation-growth sites to keep in the alloc report.
-    """
-
-    def __init__(self, *, sample_every: int = 16, alloc: bool = False,
-                 top_sites: int = 10):
-        sampler = StackSampler(sample_every) if sample_every > 0 else None
-        self.profiler = PerfProfiler(sampler=sampler)
-        self.alloc: Optional[AllocTracker] = \
-            AllocTracker(top_sites) if alloc else None
-        self.attached = False
-
-    # -- lifecycle hooks (driven by Observability) -----------------------
-
-    def attach(self) -> None:
-        self.attached = True
-        if self.alloc is not None:
-            self.alloc.start()
-
-    def tick(self, now_us: int, spans) -> None:
-        """Scrape-tick hook: heap samples ride the observability scrape
-        so the tracker adds no events of its own."""
-        if self.alloc is not None:
-            phase = spans.current_phase() if spans is not None else "idle"
-            self.alloc.sample(now_us, phase)
-
-    def finalize(self, now_us: int, spans) -> None:
-        if self.alloc is not None:
-            phase = spans.current_phase() if spans is not None else "idle"
-            self.alloc.sample(now_us, phase)
-            self.alloc.stop()
-
-    # -- views -----------------------------------------------------------
-
-    @property
-    def sampler(self) -> Optional[StackSampler]:
-        return self.profiler.sampler
-
-    def coverage(self) -> float:
-        return self.profiler.coverage()
-
-    def tax_rows(self) -> list[list]:
-        return self.profiler.tax_rows()
-
-    def summary_tables(self) -> list[tuple[str, list, list]]:
-        """(title, headers, rows) tables for harness reports, matching
-        ``Observability.summary_tables`` shape."""
-        tables = []
-        rows = self.tax_rows()
-        if rows:
-            tables.append((
-                f"event-class tax table (coverage "
-                f"{100.0 * self.coverage():.1f}%)",
-                ["class", "events", "ev%", "wall_ms", "wall%",
-                 "avg_us", "sim_ms"], rows))
-        if self.alloc is not None:
-            phase_rows = self.alloc.phase_rows()
-            if phase_rows:
-                tables.append(("heap by phase",
-                               ["phase", "samples", "max_cur_kb",
-                                "max_peak_kb", "gc_runs", "gc_pause_ms"],
-                               phase_rows))
-            growth_rows = self.alloc.growth_rows()
-            if growth_rows:
-                tables.append(("top allocation growth",
-                               ["site", "kb", "blocks"], growth_rows))
-        return tables
-
-    def collapsed_lines(self) -> list[str]:
-        sampler = self.profiler.sampler
-        return sampler.collapsed_lines() if sampler is not None else []
-
-    def write_collapsed(self, path) -> None:
-        sampler = self.profiler.sampler
-        if sampler is None:
-            raise RuntimeError("stack sampling disabled (sample_every=0)")
-        sampler.write_collapsed(path)
-
-    def flame_svg(self, width: int = 1000) -> str:
-        sampler = self.profiler.sampler
-        if sampler is None or not sampler.stacks:
-            return ""
-        return flamegraph_svg(sampler.stacks, width=width)
-
-    def bench_payload(self) -> dict:
-        """JSON-safe block for fleet summaries."""
-        payload = {
-            "events": self.profiler.events,
-            "coverage": round(self.coverage(), 4),
-            "classes": self.profiler.class_payload(),
-        }
-        sampler = self.profiler.sampler
-        if sampler is not None:
-            payload["flame_samples"] = sampler.samples
-            payload["flame_stacks"] = len(sampler.stacks)
-        if self.alloc is not None:
-            payload["alloc"] = self.alloc.payload()
-        return payload
+__all__ = ["PerfProfiler", "SiteStats", "site_of", "StackSampler",
+           "AllocTracker", "EVENT_CLASSES", "classify", "timer_class",
+           "flamegraph_svg"]

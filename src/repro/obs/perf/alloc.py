@@ -2,7 +2,7 @@
 
 ``tracemalloc`` costs real memory and slows every allocation while
 tracing, so this tracker only ever exists when the user passes
-``--alloc`` (or ``PerfObservatory(alloc=True)``); a disabled run makes
+``--alloc`` (or ``Observability(alloc=True)``); a disabled run makes
 no tracemalloc or gc call at all -- the zero-perturbation tests pin
 that down.
 
@@ -30,6 +30,9 @@ from time import perf_counter_ns
 
 __all__ = ["AllocTracker", "PhaseAlloc"]
 
+#: allocation-growth sites kept in the report
+TOP_SITES = 10
+
 
 class PhaseAlloc:
     """Per-phase aggregate of heap samples and GC activity."""
@@ -50,8 +53,7 @@ class PhaseAlloc:
 class AllocTracker:
     """tracemalloc + gc accounting for one observed run."""
 
-    def __init__(self, top_sites: int = 10):
-        self.top_sites = int(top_sites)
+    def __init__(self) -> None:
         self.phases: dict[str, PhaseAlloc] = {}
         self.phase_order: list[str] = []
         self.growth_sites: list[tuple[str, int, int]] = []  # (site, bytes, blocks)
@@ -91,7 +93,7 @@ class AllocTracker:
         self._baseline = None
         top = sorted(diffs, key=lambda d: (-d.size_diff, str(d.traceback)))
         sites = []
-        for stat in top[: self.top_sites]:
+        for stat in top[:TOP_SITES]:
             frame = stat.traceback[0]
             name = frame.filename.replace("\\", "/")
             if "/src/" in name:
@@ -160,20 +162,3 @@ class AllocTracker:
         """Top net-growth allocation sites: ``[site, kb, blocks]``."""
         return [[site, round(nbytes / 1024, 1), blocks]
                 for site, nbytes, blocks in self.growth_sites]
-
-    def payload(self) -> dict:
-        """JSON-safe summary for bench snapshots / fleet summaries."""
-        return {
-            "gc_collections": self.total_gc_collections,
-            "gc_pause_ms": round(self.total_gc_pause_ns / 1e6, 2),
-            "phases": {
-                phase: {"max_current": s.max_current, "max_peak": s.max_peak,
-                        "samples": s.samples,
-                        "gc_collections": s.gc_collections}
-                for phase, s in sorted(self.phases.items())
-            },
-            "top_growth": [
-                {"site": site, "bytes": nbytes, "blocks": blocks}
-                for site, nbytes, blocks in self.growth_sites
-            ],
-        }

@@ -70,10 +70,10 @@ class StackSampler:
         else:
             self.dropped_ns += ns
 
-    def run(self, event_class: str, site: str,
+    def run(self, ev_class: str, site: str,
             callback: Callable, args: tuple) -> None:
         """Execute ``callback(*args)`` with stack attribution."""
-        base = ("engine", event_class, site)
+        base = ("engine", ev_class, site)
         frames: list[str] = []
         charge = self._charge
         prev = perf_counter_ns()
@@ -134,10 +134,10 @@ _CLASS_HUES = {
 }
 
 
-def _fill(label: str, event_class: str) -> str:
-    hue = _CLASS_HUES.get(event_class, 210)
+def _fill(label: str, ev_class: str) -> str:
+    hue = _CLASS_HUES.get(ev_class, 210)
     light = 52 + crc32(label.encode()) % 18   # stable per-frame variation
-    sat = 60 if event_class != "other" else 0
+    sat = 60 if ev_class != "other" else 0
     return f"hsl({hue},{sat}%,{light}%)"
 
 
@@ -189,14 +189,14 @@ def flamegraph_svg(stacks: dict[tuple, int], *, width: int = 1000,
         f"height='{height}' font-family='monospace' font-size='11'>",
     ]
 
-    def emit(node: _Node, x: float, depth: int, event_class: str) -> None:
+    def emit(node: _Node, x: float, depth: int, ev_class: str) -> None:
         w = node.total * scale
         if w < 0.4:
             return
         y = height - (depth + 1) * row_h - 2
         pct = 100.0 * node.total / root.total
         label = node.label
-        fill = _fill(label, event_class)
+        fill = _fill(label, ev_class)
         parts.append(
             f"<g><title>{label} ({node.total // 1000} us, {pct:.1f}%)</title>"
             f"<rect x='{x:.1f}' y='{y}' width='{max(w - 0.5, 0.1):.1f}' "
@@ -211,7 +211,7 @@ def flamegraph_svg(stacks: dict[tuple, int], *, width: int = 1000,
             child = node.children[child_label]
             # the class level sits directly under the root
             emit(child, cx, depth + 1,
-                 child_label if depth == 0 else event_class)
+                 child_label if depth == 0 else ev_class)
             cx += child.total * scale
 
     emit(root, 0.0, 0, "other")

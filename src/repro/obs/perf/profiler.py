@@ -9,17 +9,17 @@ the "tax table" of events/s and self-wall share per class).
 
 * Site labels and classes are memoized by underlying function object
   (bound methods are recreated per schedule, so caching by callback
-  identity would never hit -- the key is ``callback.__func__``).
+  identity would never hit -- the key is ``callback.__func__``); timer
+  classes are memoized by timer name.
 * With a :class:`~repro.obs.perf.flame.StackSampler`, every Nth
   executed callback is traced into the flamegraph; sampling is keyed
   to the deterministic event counter, never to wall time.
 * Attribution is exact: cancelled entries never reach ``execute`` and
   heap compaction only touches entries that will never fire.
 
-The profiler only exists when asked for (``Observability(profile=True)``
-or a :class:`~repro.obs.perf.PerfObservatory`); otherwise
-``Simulator.profiler`` stays ``None`` and the engine takes the bare
-path.
+The profiler only exists when asked for (``Observability(profile=True)``);
+otherwise ``Simulator.profiler`` stays ``None`` and the engine takes
+the bare path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from time import perf_counter_ns
 from typing import Callable, Optional
 
 from repro.obs.perf.flame import StackSampler
-from repro.obs.perf.taxonomy import EVENT_CLASSES, classify
+from repro.obs.perf.taxonomy import EVENT_CLASSES, TIMER_FIRE, classify
 
 __all__ = ["PerfProfiler", "SiteStats", "site_of"]
 
@@ -63,7 +63,7 @@ class PerfProfiler:
     wall_ns_total: int = 0
     sampler: Optional[StackSampler] = None
     _fn_site: dict = field(default_factory=dict, repr=False)
-    _fn_class: dict = field(default_factory=dict, repr=False)
+    _class_of: dict = field(default_factory=dict, repr=False)
 
     def execute(self, callback: Callable, args: tuple, sim_dt_us: int) -> None:
         """Run ``callback(*args)`` under the profiler (called by the
@@ -72,28 +72,24 @@ class PerfProfiler:
         site = self._fn_site.get(fn)
         if site is None:
             site = self._fn_site[fn] = site_of(callback)
-        owner = getattr(callback, "__self__", None)
-        event_class = (getattr(owner, "event_class", "")
-                       if owner is not None else "")
-        if not event_class:
-            event_class = self._fn_class.get(fn, "")
-            if not event_class:
-                # classify() memoizes timers on the timer instance; only
-                # owner-independent results are safe to cache per function
-                event_class = classify(callback)
-                if owner is None or not getattr(owner, "event_class", ""):
-                    self._fn_class[fn] = event_class
+        # every timer fires through Timer._fire and is classed by its
+        # name; any other callback by its function
+        key = getattr(callback, "__self__").name if fn is TIMER_FIRE \
+            else fn
+        ev_class = self._class_of.get(key)
+        if ev_class is None:
+            ev_class = self._class_of[key] = classify(callback)
         sstats = self.sites.get(site)
         if sstats is None:
             sstats = self.sites[site] = SiteStats()
-        cstats = self.classes.get(event_class)
+        cstats = self.classes.get(ev_class)
         if cstats is None:
-            cstats = self.classes[event_class] = SiteStats()
+            cstats = self.classes[ev_class] = SiteStats()
         sampler = self.sampler
         t0 = perf_counter_ns()
         try:
             if sampler is not None and self.events % sampler.sample_every == 0:
-                sampler.run(event_class, site, callback, args)
+                sampler.run(ev_class, site, callback, args)
             else:
                 callback(*args)
         finally:
@@ -159,11 +155,3 @@ class PerfProfiler:
                 round(s.sim_us / 1000, 1),
             ])
         return rows
-
-    def class_payload(self) -> dict:
-        """JSON-safe per-class summary for bench snapshots."""
-        out = {}
-        for name, s in sorted(self.classes.items()):
-            out[name] = {"events": s.events, "wall_ns": s.wall_ns,
-                         "sim_us": s.sim_us}
-        return out

@@ -32,29 +32,29 @@ here as a frozen tuple:
     Everything the harness itself schedules around a run: fault
     injection, observability scrape ticks, watchdogs.
 ``other``
-    Anything the registry and the inference fallback cannot place.
-    The observatory reports coverage = 1 - other/total; the acceptance
-    bar is >= 95 %.
+    Anything neither rule below can place.  The profiler reports
+    coverage = 1 - other/total; the acceptance bar is >= 95 %.
 
-Classification has three layers, cheapest first:
+Classification is two rules, both kept in this module:
 
-1. **Registration at timer creation** -- :class:`~repro.sim.timer.Timer`
-   accepts ``event_class=`` and protocol modules pass it explicitly;
-   the profiler reads it straight off the timer instance.
-2. **Registration by callback** -- :func:`register_site` maps a
-   function object to a class; this module registers the engine-adjacent
-   callbacks of the NIC, link, router, host, process and harness layers.
-3. **Callsite inference** -- :func:`infer` pattern-matches the
-   callback's module/qualname so third-party or future callbacks
-   degrade to a sensible class instead of ``other``.
+1. **Timers by name** -- a :class:`~repro.sim.timer.Timer` firing is
+   placed by :data:`TIMER_CLASSES` under the timer's ``name`` (the
+   label the protocol code already gives it for causal lineage).
+2. **Everything else by callsite** -- :func:`infer` pattern-matches
+   the callback's module/qualname against :data:`_INFER_RULES`, so new
+   callbacks degrade to a sensible class instead of ``other``.
+
+The sim, core and baseline layers carry no profiler vocabulary.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["EVENT_CLASSES", "classify", "infer", "register_site",
-           "timer_class", "TIMER_CLASSES"]
+from repro.sim.timer import Timer
+
+__all__ = ["EVENT_CLASSES", "classify", "infer", "timer_class",
+           "TIMER_CLASSES", "TIMER_FIRE"]
 
 #: the frozen vocabulary of the tax table (order = report order)
 EVENT_CLASSES = (
@@ -62,7 +62,7 @@ EVENT_CLASSES = (
     "process-wake", "app", "fleet-harness", "other",
 )
 
-#: timer-name fallback for timers created without ``event_class=``
+#: timer name -> event class (rule 1)
 TIMER_CLASSES = {
     "transmit": "jiffy-timer",
     "update": "jiffy-timer",
@@ -82,31 +82,15 @@ TIMER_CLASSES = {
     "tcp-rto": "nak-repair-timer",
 }
 
-#: function object -> event class (layer 2)
-_REGISTRY: dict[object, str] = {}
-
-
-def _underlying(func: Callable) -> object:
-    return getattr(func, "__func__", func)
-
-
-def register_site(func: Callable, event_class: str) -> None:
-    """Register ``func`` (a plain function or an unbound method) as
-    belonging to ``event_class``.  The registration API for callbacks
-    that are not timers; modules may call this for their own callbacks."""
-    if event_class not in EVENT_CLASSES:
-        raise ValueError(f"unknown event class {event_class!r}; "
-                         f"known: {', '.join(EVENT_CLASSES)}")
-    _REGISTRY[_underlying(func)] = event_class
-
 
 def timer_class(name: str) -> str:
     """Event class of a :class:`~repro.sim.timer.Timer` by its name
-    (fallback for timers armed without an explicit ``event_class=``)."""
+    (unnamed or unknown timers are periodic ticks)."""
     return TIMER_CLASSES.get(name, "jiffy-timer")
 
 
 #: (module prefix, qualname substring or "", class) -- first match wins
+#: (rule 2)
 _INFER_RULES = (
     ("repro.net.nic", "_tx", "nic-tx"),
     ("repro.net.nic", "medium_deliver", "link"),
@@ -127,62 +111,24 @@ _INFER_RULES = (
 
 
 def infer(module: str, qualname: str) -> str:
-    """Layer-3 fallback: place a callback by its defining module and
-    qualified name.  Returns ``"other"`` when nothing matches."""
-    for prefix, fragment, event_class in _INFER_RULES:
+    """Place a callback by its defining module and qualified name.
+    Returns ``"other"`` when nothing matches."""
+    for prefix, fragment, ev_class in _INFER_RULES:
         if module == prefix or module.startswith(prefix + "."):
             if not fragment or fragment in qualname:
-                return event_class
+                return ev_class
     return "other"
 
 
-# -- layer-2 registrations for the engine-adjacent callbacks ------------
-# (imports are top-down: obs.perf may depend on sim/net/kernel, never
-# the other way around)
-
-def _register_builtin_sites() -> None:
-    from repro.kernel.host import Host
-    from repro.net.nic import NetworkInterface
-    from repro.sim.process import Process, SimEvent
-
-    register_site(NetworkInterface._tx_done, "nic-tx")
-    register_site(Host._xmit, "nic-tx")
-    register_site(NetworkInterface.medium_deliver, "link")
-    register_site(NetworkInterface._rx_enqueue, "nic-rx")
-    register_site(NetworkInterface._rx_process, "nic-rx")
-    register_site(NetworkInterface._rx_done, "nic-rx")
-    register_site(Process._resume, "app")
-    register_site(SimEvent.fire, "process-wake")
-
-
-_register_builtin_sites()
+#: the engine callback every armed timer schedules
+TIMER_FIRE = Timer._fire
 
 
 def classify(callback: Callable) -> str:
-    """Classify one engine callback (slow path; the profiler memoizes).
-
-    Order: the owning object's ``event_class`` attribute (layer 1,
-    timers), then the per-timer-name fallback, then the function
-    registry (layer 2), then module/qualname inference (layer 3)."""
-    fn = _underlying(callback)
-    owner = getattr(callback, "__self__", None)
-    if owner is not None:
-        event_class = getattr(owner, "event_class", "")
-        if event_class:
-            return event_class
-        if fn is _TIMER_FIRE:
-            event_class = timer_class(owner.name)
-            # memoize on the timer: later fires hit the attribute path
-            owner.event_class = event_class
-            return event_class
-    registered = _REGISTRY.get(fn)
-    if registered is not None:
-        return registered
+    """Classify one engine callback (slow path; the profiler memoizes):
+    a timer firing by its name, anything else by its callsite."""
+    fn = getattr(callback, "__func__", callback)
+    if fn is TIMER_FIRE:
+        return timer_class(getattr(callback, "__self__").name)
     return infer(getattr(fn, "__module__", "") or "",
                  getattr(fn, "__qualname__", "") or "")
-
-
-# resolved late so the Timer import sits with its use
-from repro.sim.timer import Timer as _Timer  # noqa: E402
-
-_TIMER_FIRE = _Timer._fire

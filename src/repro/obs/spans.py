@@ -72,12 +72,11 @@ class SpanCollector:
     #: cap on exported instant marks (retransmissions, NAKs, UPDATEs)
     MARK_CAP = 20_000
 
-    def __init__(self, sender_addr: str,
-                 latency_bounds=LATENCY_BOUNDS_US):
+    def __init__(self, sender_addr: str):
         self.sender_addr = sender_addr
-        self.one_way_us = Histogram("span.one_way_us", latency_bounds)
-        self.queueing_us = Histogram("span.queueing_us", latency_bounds)
-        self.recovery_us = Histogram("span.recovery_us", latency_bounds)
+        self.one_way_us = Histogram("span.one_way_us", LATENCY_BOUNDS_US)
+        self.queueing_us = Histogram("span.queueing_us", LATENCY_BOUNDS_US)
+        self.recovery_us = Histogram("span.recovery_us", LATENCY_BOUNDS_US)
         self.spans: list[Span] = []
         self.marks: list[_Mark] = []
         self.events_seen = 0
@@ -92,7 +91,7 @@ class SpanCollector:
     # -- tap pump -------------------------------------------------------
 
     def on_event(self, ev, skb) -> None:
-        """Raw tracer listener: ``ev`` is the TraceEvent, ``skb`` the
+        """Tracer listener: ``ev`` is the TraceEvent, ``skb`` the
         live segment (read-only here)."""
         self.events_seen += 1
         self.last_event_us = ev.t_us

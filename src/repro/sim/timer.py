@@ -41,19 +41,16 @@ class Timer:
 
     The callback receives no arguments (bind state via the constructor),
     matching ``timer_list.function(data)`` usage where ``data`` is the
-    socket.
+    socket.  ``name`` labels the timer's firings (causal-lineage
+    "timeout" nodes, and the event class ``repro.obs`` gives them).
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], None],
-                 name: str = "", event_class: str = ""):
+                 name: str = ""):
         self._sim = sim
         self._callback = callback
         self._entry = None
         self.name = name
-        # performance-observatory taxonomy label (see
-        # repro.obs.perf.taxonomy); a plain string so the sim layer
-        # never imports obs.  Empty means "infer from the timer name".
-        self.event_class = event_class
         self.fired_count = 0
 
     @property

@@ -59,13 +59,13 @@ class PacketTracer:
     With ``ring=True`` the capture keeps only the most recent
     ``max_events`` records (a flight recorder for long chaos runs)
     instead of truncating at the cap; ``dropped`` counts records lost
-    off either end.  ``listeners`` are invoked for every event before
-    it is stored, independent of any cap, so online consumers (e.g. the
-    invariant checker or the observability layer) always see the full
-    stream.  ``raw_listeners`` additionally receive the live ``SKBuff``
-    (read-only), for consumers that need segment bookkeeping the
-    :class:`TraceEvent` record does not carry (e.g. NIC wire-departure
-    stamps for span stitching).
+    off either end.  ``listeners`` are called as ``fn(event, skb)`` for
+    every event, in registration order, before it is stored and
+    independent of any cap, so online consumers (e.g. the invariant
+    checker or the observability layer) always see the full stream.
+    The ``skb`` is the live segment (read-only), for consumers that
+    need bookkeeping the :class:`TraceEvent` record does not carry
+    (e.g. NIC wire-departure stamps for span stitching).
     """
 
     def __init__(self, *, max_events: Optional[int] = None,
@@ -77,8 +77,7 @@ class PacketTracer:
         self.ring = ring
         self.max_events = max_events
         self.dropped = 0
-        self.listeners: list[Callable[[TraceEvent], None]] = []
-        self.raw_listeners: list[Callable[[TraceEvent, SKBuff], None]] = []
+        self.listeners: list[Callable[[TraceEvent, SKBuff], None]] = []
         self._hosts: list[Host] = []
 
     def attach(self, *hosts: Host) -> "PacketTracer":
@@ -103,9 +102,7 @@ class PacketTracer:
                 ptype=int(skb.ptype), seq=skb.seq, length=skb.length,
                 rate_adv=skb.rate_adv, tries=skb.tries, flags=skb.flags)
             for listener in self.listeners:
-                listener(ev)
-            for raw in self.raw_listeners:
-                raw(ev, skb)
+                listener(ev, skb)
             if self.max_events is not None and \
                     len(self.events) >= self.max_events:
                 # list mode drops the new event; ring mode (deque with
@@ -117,15 +114,12 @@ class PacketTracer:
 
         return tap
 
-    def add_listener(self, fn: Callable[[TraceEvent], None]) -> None:
-        """Call ``fn(event)`` for every captured event (before storage)."""
+    def add_listener(self,
+                     fn: Callable[[TraceEvent, SKBuff], None]) -> None:
+        """Call ``fn(event, skb)`` for every captured event (before
+        storage).  The skb is the live segment -- listeners must treat
+        it as read-only."""
         self.listeners.append(fn)
-
-    def add_raw_listener(self,
-                         fn: Callable[[TraceEvent, SKBuff], None]) -> None:
-        """Call ``fn(event, skb)`` for every captured event.  The skb is
-        the live segment -- listeners must treat it as read-only."""
-        self.raw_listeners.append(fn)
 
     def recent(self, n: int = 20) -> list[TraceEvent]:
         """The last ``n`` captured events (most recent last)."""

@@ -13,8 +13,7 @@ import pytest
 
 from repro.harness.runner import run_transfer
 from repro.obs import Observability
-from repro.obs.perf import (EVENT_CLASSES, PerfObservatory, classify,
-                            register_site)
+from repro.obs.perf import EVENT_CLASSES, classify, flamegraph_svg
 from repro.obs.perf.taxonomy import infer, timer_class
 from repro.sim.engine import Simulator
 from repro.sim.timer import Timer
@@ -22,43 +21,32 @@ from repro.workloads.scenarios import build_lan
 
 
 def _profiled_run(sample_every=16, alloc=False, nbytes=200_000):
-    perf = PerfObservatory(sample_every=sample_every, alloc=alloc)
-    obs = Observability(perf=perf)
+    obs = Observability(profile=True, sample_every=sample_every,
+                        alloc=alloc)
     sc = build_lan(3, 100e6, seed=7)
     res = run_transfer(sc, nbytes=nbytes, sndbuf=128 * 1024,
                        max_sim_s=120, obs=obs)
     assert res.ok
-    return perf, res
+    return obs, res
+
+
+def _collapsed(obs):
+    return obs.profiler.sampler.collapsed_lines()
 
 
 # -- taxonomy ----------------------------------------------------------
 
 
-def test_register_site_rejects_unknown_class():
-    with pytest.raises(ValueError, match="unknown event class"):
-        register_site(lambda: None, "warp-drive")
-
-
-def test_register_site_classifies_plain_function():
-    def my_callback():
-        pass
-    register_site(my_callback, "fleet-harness")
-    assert classify(my_callback) == "fleet-harness"
-
-
-def test_timer_event_class_is_layer_one():
+def test_timers_classify_by_name():
     sim = Simulator()
-    t = Timer(sim, lambda: None, name="whatever", event_class="nic-tx")
-    assert classify(t._fire) == "nic-tx"
-
-
-def test_timer_name_fallback_memoizes():
-    sim = Simulator()
-    t = Timer(sim, lambda: None, name="nak")
-    assert t.event_class == ""
+    assert classify(Timer(sim, lambda: None, name="nak")._fire) \
+        == "nak-repair-timer"
+    assert classify(Timer(sim, lambda: None, name="transmit")._fire) \
+        == "jiffy-timer"
+    # the class follows the timer's name, not the callback it wraps
+    from repro.net.nic import NetworkInterface
+    t = Timer(sim, NetworkInterface._tx_done, name="retrans")
     assert classify(t._fire) == "nak-repair-timer"
-    # classify memoized the class onto the instance (layer-1 next time)
-    assert t.event_class == "nak-repair-timer"
 
 
 def test_timer_class_names():
@@ -81,11 +69,11 @@ def test_infer_rules():
 
 
 def test_tax_table_coverage_meets_bar():
-    perf, res = _profiled_run(sample_every=0)
-    assert perf.profiler.events == res.sim_events
+    obs, res = _profiled_run(sample_every=0)
+    assert obs.profiler.events == res.sim_events
     # the acceptance bar: >= 95 % of callbacks placed in a named class
-    assert perf.coverage() >= 0.95
-    rows = perf.tax_rows()
+    assert obs.profiler.coverage() >= 0.95
+    rows = obs.profiler.tax_rows()
     classes = [r[0] for r in rows]
     assert set(classes) <= set(EVENT_CLASSES)
     # the LAN transfer exercises the full stack
@@ -96,37 +84,25 @@ def test_tax_table_coverage_meets_bar():
 
 
 def test_tax_table_rows_in_taxonomy_order():
-    perf, _ = _profiled_run(sample_every=0)
+    obs, _ = _profiled_run(sample_every=0)
     order = {c: i for i, c in enumerate(EVENT_CLASSES)}
-    positions = [order[r[0]] for r in perf.tax_rows()]
+    positions = [order[r[0]] for r in obs.profiler.tax_rows()]
     assert positions == sorted(positions)
-
-
-def test_bench_payload_shape():
-    perf, res = _profiled_run(sample_every=32)
-    payload = perf.bench_payload()
-    assert payload["events"] == res.sim_events
-    assert payload["coverage"] >= 0.95
-    assert payload["flame_samples"] > 0
-    assert payload["flame_stacks"] > 0
-    for name, block in payload["classes"].items():
-        assert name in EVENT_CLASSES
-        assert block["events"] > 0
 
 
 # -- deterministic flamegraph sampling --------------------------------
 
 
 def test_sampler_counts_and_stacks_deterministic():
-    perf_a, res_a = _profiled_run(sample_every=16)
-    perf_b, res_b = _profiled_run(sample_every=16)
+    obs_a, res_a = _profiled_run(sample_every=16)
+    obs_b, res_b = _profiled_run(sample_every=16)
     # identical runs: identical event streams, so identical samples
     assert res_a.sim_events == res_b.sim_events
-    assert perf_a.sampler.samples == perf_b.sampler.samples
+    assert obs_a.profiler.sampler.samples == obs_b.profiler.sampler.samples
     # and identical collapsed stacks -- the *keys* are deterministic
     # (weights are wall time and may differ between executions)
-    stacks_a = [line.rsplit(" ", 1)[0] for line in perf_a.collapsed_lines()]
-    stacks_b = [line.rsplit(" ", 1)[0] for line in perf_b.collapsed_lines()]
+    stacks_a = [line.rsplit(" ", 1)[0] for line in _collapsed(obs_a)]
+    stacks_b = [line.rsplit(" ", 1)[0] for line in _collapsed(obs_b)]
     assert stacks_a == stacks_b
 
 
@@ -145,22 +121,23 @@ def test_sampler_immune_to_foreign_gc_callbacks():
     gc.callbacks.append(nosy_gc_callback)
     gc.set_threshold(1)          # collect (and fire callbacks) constantly
     try:
-        perf_a, _ = _profiled_run(sample_every=16)
-        perf_b, _ = _profiled_run(sample_every=16)
+        obs_a, _ = _profiled_run(sample_every=16)
+        obs_b, _ = _profiled_run(sample_every=16)
     finally:
         gc.callbacks.remove(nosy_gc_callback)
         gc.set_threshold(*thresholds)
-    for key in list(perf_a.sampler.stacks) + list(perf_b.sampler.stacks):
+    for key in (list(obs_a.profiler.sampler.stacks)
+                + list(obs_b.profiler.sampler.stacks)):
         assert not any("nosy_gc_callback" in label for label in key), key
-    stacks_a = [ln.rsplit(" ", 1)[0] for ln in perf_a.collapsed_lines()]
-    stacks_b = [ln.rsplit(" ", 1)[0] for ln in perf_b.collapsed_lines()]
+    stacks_a = [ln.rsplit(" ", 1)[0] for ln in _collapsed(obs_a)]
+    stacks_b = [ln.rsplit(" ", 1)[0] for ln in _collapsed(obs_b)]
     assert stacks_a == stacks_b
     assert gc.isenabled()        # the sampler restored GC afterwards
 
 
 def test_collapsed_lines_format():
-    perf, _ = _profiled_run(sample_every=16)
-    lines = perf.collapsed_lines()
+    obs, _ = _profiled_run(sample_every=16)
+    lines = _collapsed(obs)
     assert lines
     for line in lines:
         stack, weight = line.rsplit(" ", 1)
@@ -170,45 +147,56 @@ def test_collapsed_lines_format():
     assert lines == sorted(lines)
 
 
-def test_sample_every_zero_disables_sampling():
-    perf, _ = _profiled_run(sample_every=0)
-    assert perf.sampler is None
-    assert perf.collapsed_lines() == []
-    assert perf.flame_svg() == ""
-    with pytest.raises(RuntimeError, match="disabled"):
-        perf.write_collapsed("/dev/null")
+def test_sample_every_zero_disables_sampling(tmp_path):
+    obs, _ = _profiled_run(sample_every=0)
+    assert obs.profiler.sampler is None
+    paths = obs.write_artifacts(str(tmp_path), html=True)
+    assert "collapsed" not in paths
+    assert "flamegraph" not in (tmp_path / "run.report.html").read_text()
+
+
+def test_sample_every_needs_the_profiler():
+    with pytest.raises(ValueError, match="sample_every"):
+        Observability(sample_every=16)
+    with pytest.raises(ValueError, match="sample_every"):
+        Observability(profile=True, sample_every=-1)
 
 
 def test_flame_svg_renders(tmp_path):
-    perf, _ = _profiled_run(sample_every=16)
-    svg = perf.flame_svg()
+    obs, _ = _profiled_run(sample_every=16)
+    svg = flamegraph_svg(obs.profiler.sampler.stacks)
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "engine" in svg
-    out = tmp_path / "lan.collapsed.txt"
-    perf.write_collapsed(out)
-    assert out.read_text().splitlines() == perf.collapsed_lines()
+    paths = obs.write_artifacts(str(tmp_path), prefix="lan", html=True)
+    assert (tmp_path / "lan.collapsed.txt").read_text().splitlines() \
+        == _collapsed(obs)
+    html = (tmp_path / "lan.report.html").read_text()
+    assert "flamegraph" in html and "event-class tax table" in html
+    assert paths["collapsed"].endswith("lan.collapsed.txt")
 
 
 # -- allocation tracking ----------------------------------------------
 
 
 def test_alloc_tracker_phases_and_growth():
-    perf, _ = _profiled_run(alloc=True)
-    alloc = perf.alloc
+    obs, _ = _profiled_run(alloc=True)
+    alloc = obs.alloc
     assert alloc is not None
     phases = [r[0] for r in alloc.phase_rows()]
     assert "transfer" in phases
     # the run allocates *something*; growth sites are attributed
     assert alloc.growth_rows()
-    tables = dict((t[0], t[2]) for t in perf.summary_tables())
+    tables = dict((t[0], t[2]) for t in obs.perf_tables())
     assert "heap by phase" in tables
     assert "top allocation growth" in tables
 
 
 def test_summary_tables_without_alloc():
-    perf, _ = _profiled_run(sample_every=0)
-    tables = perf.summary_tables()
+    obs, _ = _profiled_run(sample_every=0)
+    tables = obs.perf_tables()
     assert len(tables) == 1
+    # the tax table also rides the full observability summary
+    assert tables[0] in obs.summary_tables()
     title, headers, rows = tables[0]
     assert title.startswith("event-class tax table")
     assert "coverage" in title

@@ -22,7 +22,6 @@ import tracemalloc
 from repro.harness.runner import run_transfer
 from repro.net.topology import GroupSpec
 from repro.obs import Observability
-from repro.obs.perf import PerfObservatory
 from repro.trace import PacketTracer
 from repro.workloads.scenarios import build_chaos, build_wan
 
@@ -34,8 +33,7 @@ def _run(perf_on: bool, build):
     tracer = PacketTracer()
     obs = None
     if perf_on:
-        perf = PerfObservatory(sample_every=16, alloc=True)
-        obs = Observability(perf=perf)
+        obs = Observability(profile=True, sample_every=16, alloc=True)
     res = run_transfer(sc, nbytes=250_000, sndbuf=128 * 1024,
                        max_sim_s=300, obs=obs, tracer=tracer)
     return sc, tracer, res
@@ -60,11 +58,11 @@ def test_perf_zero_perturbation_lossy_wan():
     profiled = _run(True, build)
     _assert_identical(bare, profiled)
     # non-vacuous: the observatory really measured the run
-    perf = profiled[2].obs.perf
-    assert perf.profiler.events == profiled[2].sim_events
-    assert perf.coverage() >= 0.95
-    assert perf.sampler.samples > 0
-    assert perf.alloc.phase_rows()
+    obs = profiled[2].obs
+    assert obs.profiler.events == profiled[2].sim_events
+    assert obs.profiler.coverage() >= 0.95
+    assert obs.profiler.sampler.samples > 0
+    assert obs.alloc.phase_rows()
 
 
 def test_perf_zero_perturbation_chaos():
@@ -76,7 +74,7 @@ def test_perf_zero_perturbation_chaos():
     profiled = _run(True, build)
     _assert_identical(bare, profiled)
     assert bare[2].fault_events == profiled[2].fault_events
-    assert profiled[2].obs.perf.coverage() >= 0.95
+    assert profiled[2].obs.profiler.coverage() >= 0.95
 
 
 def _obs_layer_bytes(before, after):
